@@ -1,23 +1,18 @@
-"""ORDER BY / top-k throughput — vectorized sort keys + partitioned sort.
+"""ORDER BY / top-k throughput — vectorized sort keys vs the scalar path.
 
 This benchmark is the perf acceptance bar for the vectorized ordering layer
-(:mod:`repro.executor.ordering`) and its parallel kernels
-(:func:`~repro.executor.parallel.partitioned_sort`,
-:func:`~repro.executor.parallel.parallel_topk`): a 1M-row orders table
-sorted and top-k-cut through the same columnar engine three ways — scalar
-(``vectorize=False``, the per-row ``sorted()`` / bounded-heap path), serial
-vectorized (``max_workers=1``, uint64 sort codes + ``argsort`` /
-``argpartition``) and parallel.  The bars: serial vectorized >= 5x over the
-scalar path, and the thread pool >= 2x more on a machine with >= 4 cores
-(on smaller boxes the timing half still measures and records, then skips
-the parallel bar).
+(:mod:`repro.executor.ordering`): a 1M-row orders table sorted and
+top-k-cut through the same columnar engine two ways — scalar
+(``vectorize=False``, the per-row ``sorted()`` / bounded-heap path) and
+vectorized (uint64 sort codes + ``argsort`` / ``argpartition``).  The bar:
+vectorized >= 5x over the scalar path.
 
 Every timed query carries a LIMIT on purpose: result normalisation re-sorts
 all *output* rows in Python, so an un-limited 1M-row ORDER BY would measure
 that scalar re-sort, not the engine's kernels.
 
 The correctness half always runs and is the half CI gates on
-(``make bench-sort-check``): every worker count in {1, 2, 4, 8} must return
+(``make bench-sort-check``): the vectorized and scalar engines must return
 *bit-identical* rows on the full workload — at a smaller scale, over
 NULL- and NaN-bearing sort columns — and match the row-interpreter oracle.
 
@@ -26,7 +21,6 @@ Run alone with ``make bench-sort`` (marker: ``sort``).
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
@@ -44,9 +38,7 @@ FACT_ROWS = 1_000_000
 #: Scale of the always-on correctness half (the interpreter oracle is orders
 #: of magnitude slower, so it gets a smaller but structurally identical db).
 CHECK_ROWS = 40_000
-WORKER_COUNTS = (1, 2, 4, 8)
 VECTOR_SPEEDUP_BAR = 5.0
-PARALLEL_SPEEDUP_BAR = 2.0
 
 QUERIES = [
     # the headline shape: deep top-k cut on a NULL/NaN-bearing number column
@@ -124,60 +116,41 @@ def _assert_identical(expected, actual, label):
         assert rows_agree(left.rows, right.rows), f"{label}: {query_text}"
 
 
-def test_sorted_rows_are_identical_across_worker_counts():
-    """Correctness half (CI-gated): bit-identical rows for every worker count."""
+def test_sorted_rows_match_the_interpreter_oracle():
+    """Correctness half (CI-gated): vectorized and scalar rows, bit-identical."""
     database = _bench_database(CHECK_ROWS)
     queries = [parse_dvq(text) for text in QUERIES]
     oracle = [InterpreterBackend().execute(query, database) for query in queries]
-    scalar = ColumnarBackend(vectorize=False)
-    _assert_identical(
-        oracle,
-        [scalar.execute(query, database) for query in queries],
-        "vectorize=False",
-    )
-    for workers in WORKER_COUNTS:
-        # small morsels so the partitioned sort kernels engage at check scale
-        backend = ColumnarBackend(max_workers=workers, morsel_size=4_096)
+    for label, backend in [
+        ("vectorize=False", ColumnarBackend(vectorize=False)),
+        ("vectorized", ColumnarBackend()),
+    ]:
         actual = [backend.execute(query, database) for query in queries]
-        _assert_identical(oracle, actual, f"max_workers={workers}")
+        _assert_identical(oracle, actual, label)
 
 
 def test_sort_throughput_is_at_least_5x_on_1m_rows(bench_report):
-    """Timing half: vectorized >= 5x scalar; parallel >= 2x more (>= 4 cores)."""
+    """Timing half: vectorized >= 5x over the scalar path."""
     database = _bench_database(FACT_ROWS)
     queries = [parse_dvq(text) for text in QUERIES]
-    cores = os.cpu_count() or 1
-    workers = max(2, min(8, cores))
 
     scalar = ColumnarBackend(vectorize=False)
-    serial = ColumnarBackend(max_workers=1)
-    parallel = ColumnarBackend(max_workers=workers)
+    vectorized = ColumnarBackend()
 
     _, expected = _timed(scalar, queries, database)  # warm-up, kept as oracle
     scalar_seconds = min(_timed(scalar, queries, database)[0] for _ in range(2))
-    _timed(serial, queries, database)
-    serial_seconds, serial_results = min(
-        (_timed(serial, queries, database) for _ in range(3)),
+    _timed(vectorized, queries, database)
+    vector_seconds, vector_results = min(
+        (_timed(vectorized, queries, database) for _ in range(3)),
         key=lambda pair: pair[0],
     )
-    _timed(parallel, queries, database)
-    parallel_seconds, parallel_results = min(
-        (_timed(parallel, queries, database) for _ in range(3)),
-        key=lambda pair: pair[0],
-    )
-    _assert_identical(expected, serial_results, "max_workers=1")
-    _assert_identical(expected, parallel_results, f"max_workers={workers}")
+    _assert_identical(expected, vector_results, "vectorized")
 
-    vector_speedup = scalar_seconds / serial_seconds
-    parallel_speedup = serial_seconds / parallel_seconds
-    print(
-        f"\nsort/top-k throughput over {len(queries)} queries "
-        f"({FACT_ROWS:,} rows, {cores} cores):"
-    )
+    vector_speedup = scalar_seconds / vector_seconds
+    print(f"\nsort/top-k throughput over {len(queries)} queries ({FACT_ROWS:,} rows):")
     for label, seconds in [
         ("columnar scalar (vectorize=False)", scalar_seconds),
-        ("columnar vectorized (max_workers=1)", serial_seconds),
-        (f"columnar parallel (max_workers={workers})", parallel_seconds),
+        ("columnar vectorized", vector_seconds),
     ]:
         print(
             f"  {label}:".ljust(44)
@@ -185,29 +158,12 @@ def test_sort_throughput_is_at_least_5x_on_1m_rows(bench_report):
         )
 
     bench_report(
-        vector_speedup=vector_speedup,
-        parallel_speedup=parallel_speedup,
-        speedup=vector_speedup * parallel_speedup,
+        speedup=vector_speedup,
         rows=FACT_ROWS,
         queries=len(queries),
-        cores=cores,
-        workers=workers,
-        timings={
-            "scalar": scalar_seconds,
-            "vectorized": serial_seconds,
-            "parallel": parallel_seconds,
-        },
+        timings={"scalar": scalar_seconds, "vectorized": vector_seconds},
     )
 
     assert vector_speedup >= VECTOR_SPEEDUP_BAR, (
         f"vectorized sort only {vector_speedup:.2f}x faster than the scalar path"
-    )
-    if cores < 4:
-        pytest.skip(
-            f"only {cores} core(s): the >= {PARALLEL_SPEEDUP_BAR}x parallel bar "
-            f"needs a multi-core machine (measured {parallel_speedup:.2f}x, "
-            "recorded anyway)"
-        )
-    assert parallel_speedup >= PARALLEL_SPEEDUP_BAR, (
-        f"parallel sort only {parallel_speedup:.2f}x faster than max_workers=1"
     )

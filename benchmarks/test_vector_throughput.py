@@ -8,8 +8,7 @@ both the measure and the join-key columns, so the masked paths are on the
 hot path); a join + filter + group + top-k workload is then executed with
 the NumPy kernels on and off, and the wall-clock speed-up recorded.  The
 acceptance bar is a >= 10x end-to-end speed-up of the vectorized engine over
-the per-value scalar engine; the morsel-parallel scan variant is reported
-alongside and must return identical rows.
+the per-value scalar engine, which must return identical rows.
 
 Timing protocol: one untimed warm-up pass per engine builds the lazy caches
 (the typed store's lowered-text shadow), then the vectorized engine takes
@@ -149,7 +148,6 @@ def test_vector_engine_matches_the_interpreter_on_the_bench_workload():
     variants = {
         "vectorized": ColumnarBackend(),
         "vectorized unoptimized": ColumnarBackend(optimize=False),
-        "morsel-parallel": ColumnarBackend(max_workers=4, morsel_size=4_096),
         "scalar": ColumnarBackend(vectorize=False),
     }
     for label, backend in variants.items():
@@ -163,14 +161,10 @@ def test_vector_engine_throughput_is_at_least_10x_on_1m_row_join(bench_report):
     queries = [parse_dvq(text) for text in QUERIES]
 
     vectorized = ColumnarBackend()
-    morsel = ColumnarBackend(max_workers=4, morsel_size=131_072)
     scalar = ColumnarBackend(vectorize=False)
 
     _, expected = _timed(vectorized, queries, database)  # warm-up, kept as oracle
     vector_seconds = min(_timed(vectorized, queries, database)[0] for _ in range(3))
-    _timed(morsel, queries, database)
-    morsel_seconds, morsel_results = _timed(morsel, queries, database)
-    _assert_identical(expected, morsel_results, "morsel-parallel")
     scalar_seconds, scalar_results = _timed(scalar, queries, database)
     _assert_identical(expected, scalar_results, "scalar")
 
@@ -182,7 +176,6 @@ def test_vector_engine_throughput_is_at_least_10x_on_1m_row_join(bench_report):
     for label, seconds in [
         ("columnar scalar (vectorize=False)", scalar_seconds),
         ("columnar vectorized", vector_seconds),
-        ("columnar vectorized + morsels", morsel_seconds),
     ]:
         print(
             f"  {label}:".ljust(40)
@@ -193,11 +186,7 @@ def test_vector_engine_throughput_is_at_least_10x_on_1m_row_join(bench_report):
         speedup=speedup,
         rows=FACT_ROWS,
         queries=len(queries),
-        timings={
-            "scalar": scalar_seconds,
-            "vectorized": vector_seconds,
-            "vectorized_morsels": morsel_seconds,
-        },
+        timings={"scalar": scalar_seconds, "vectorized": vector_seconds},
     )
 
     assert speedup >= 10.0, (

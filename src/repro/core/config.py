@@ -47,8 +47,10 @@ class GREDConfig:
             batches, see :mod:`repro.plan`), ``"interpreter"`` (the legacy
             row-at-a-time reference executor) or ``"sqlite"`` (the DVQ->SQL
             compiler over SQLite, see :mod:`repro.sql`).  All three return
-            identical results; only speed differs.  Only meaningful with
-            ``verify_execution`` or ``max_repair_rounds > 0``.
+            identical results; only speed differs.  Each check runs serially
+            on the calling thread; batch whole traces with a
+            :class:`~repro.runtime.runner.BatchRunner` instead.  Only
+            meaningful with ``verify_execution`` or ``max_repair_rounds > 0``.
         optimize_plans: run the rule-based plan optimizer (predicate
             pushdown, projection pruning, hash joins, constant folding)
             before executing on the columnar backend.  On by default; turn
@@ -62,14 +64,6 @@ class GREDConfig:
             (MIN/MAX/DISTINCT, top-k, small tables) silently run exact.
             Off by default because repair loops and metrics expect exact
             rows.  Ignored by the other backends.
-        execution_workers: thread-pool width of the columnar engine's
-            parallel pipeline (morsel scans, partitioned joins, partial
-            grouped aggregation).  ``1`` (default) stays serial; any width
-            returns bit-identical results, so this is purely a throughput
-            knob.  Ignored by the other backends.
-        execution_morsel_size: rows per morsel / join partition when
-            ``execution_workers > 1`` (``None`` = the engine default).
-            Ignored by the other backends.
         index: retrieval-index configuration for the NLQ/DVQ libraries
             (:class:`~repro.index.IndexConfig`): the search backend
             (``"exact"`` brute force — the default — or ``"partitioned"``
@@ -98,8 +92,6 @@ class GREDConfig:
     execution_backend: str = "columnar"
     optimize_plans: bool = True
     approximate_execution: bool = False
-    execution_workers: int = 1
-    execution_morsel_size: Optional[int] = None
     index: IndexConfig = field(default_factory=IndexConfig)
     max_repair_rounds: int = 0
 

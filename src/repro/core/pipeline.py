@@ -180,10 +180,6 @@ class GRED(TextToVisModel):
                 config.execution_backend,
                 optimize=config.optimize_plans,
                 approximate=config.approximate_execution,
-                max_workers=(
-                    config.execution_workers if config.execution_workers > 1 else None
-                ),
-                morsel_size=config.execution_morsel_size,
             )
             if config.verify_execution or config.max_repair_rounds > 0
             else None

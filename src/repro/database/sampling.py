@@ -17,8 +17,7 @@ Samples are deterministic in ``(seed, fraction, key)`` — the row permutation
 comes from :func:`numpy.random.default_rng` — and are built once per table
 via :meth:`repro.database.table.Table.sample`, cached and insert-invalidated
 next to the column stores.  Sampled row ids are kept **sorted** so the
-engine's late-materialising batches stay in row order and morsel slicing
-keeps working.
+engine's late-materialising batches stay in row order.
 """
 
 from __future__ import annotations

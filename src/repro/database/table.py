@@ -36,8 +36,9 @@ class Table:
         self._samples: Dict[
             Tuple[str, Optional[str], float, int], Optional["TableSample"]
         ] = {}
-        # Guards cache build/invalidate: morsel workers sharing one Table can
-        # otherwise race a half-built store against refresh_columns()/insert().
+        # Guards cache build/invalidate: evaluation and fuzz threads sharing one
+        # Table can otherwise race a half-built store against
+        # refresh_columns()/insert().
         # Reentrant because typed_store() builds from column_store() under it.
         self._store_lock = threading.RLock()
         if rows is not None:
@@ -104,8 +105,9 @@ class Table:
         :meth:`repro.sql.SQLiteBackend.refresh`.
 
         Build and invalidate are serialised by a lock so concurrent readers
-        (e.g. morsel workers on a shared :class:`BatchRunner`) never observe a
-        half-built store; the returned dict is immutable by convention.
+        (evaluation and fuzz threads on a :class:`BatchRunner` sharing the
+        table) never observe a half-built store; the returned dict is
+        immutable by convention.
         """
         store = self._column_store
         if store is None:

@@ -38,7 +38,7 @@ _FLOAT_EXACT_INT = 2**53
 
 
 class TypedColumn:
-    """One column as parallel object / typed / mask arrays.
+    """One column as aligned object / typed / mask arrays.
 
     Attributes:
         kind: ``"number"`` (data is float64), ``"text"`` (data is ``<U``) or
@@ -131,18 +131,6 @@ class TypedColumn:
             None if self.data is None else self.data[indices],
             self.mask[indices],
             lowered=None if self._lowered is None else self._lowered[indices],
-            has_nan=self._has_nan,
-            has_bool=self._has_bool,
-        )
-
-    def slice(self, start: int, stop: int) -> "TypedColumn":
-        """A zero-copy row-range view (the unit of a morsel)."""
-        return TypedColumn(
-            self.kind,
-            self.objects[start:stop],
-            None if self.data is None else self.data[start:stop],
-            self.mask[start:stop],
-            lowered=None if self._lowered is None else self._lowered[start:stop],
             has_nan=self._has_nan,
             has_bool=self._has_bool,
         )

@@ -123,10 +123,14 @@ def _parse_chart_type(stream: _TokenStream) -> ChartType:
     first = stream.advance()
     if first.type is not TokenType.KEYWORD:
         raise DVQParseError(f"Expected a chart type, found {first.lexeme!r}", token=first)
+    text = first.lexeme
     if first.value in ("STACKED", "GROUPING"):
-        second = stream.advance()
-        return ChartType.from_text(f"{first.value} {second.value}")
-    return ChartType.from_text(first.value)
+        text = f"{text} {stream.advance().lexeme}".rstrip()
+    try:
+        return ChartType.from_text(text)
+    except ValueError:
+        # any keyword that is not a chart type (SELECT, a bare STACKED, ...)
+        raise DVQParseError(f"Expected a chart type, found {text!r}", token=first) from None
 
 
 def _parse_select_list(stream: _TokenStream) -> List[SelectItem]:

@@ -110,11 +110,10 @@ class ModelEvaluator:
     :attr:`PredictionRecord.executes` / :attr:`EvaluationRun.execution_rate`
     report whether it materialises a chart.  ``optimize_plans`` toggles the
     plan optimizer when the columnar backend is named (results are identical
-    either way), and ``execution_workers`` / ``execution_morsel_size`` size
-    the columnar engine's parallel pipeline (``None`` keeps the backend
-    default; any width returns identical results).  The backend instance is
-    kept across runs, so stateful engines (e.g. SQLite) load each database
-    once per evaluator.
+    either way).  ``max_workers`` batches whole predictions, never the
+    operators of one execution check: the engine runs each check serially.
+    The backend instance is kept across runs, so stateful engines (e.g.
+    SQLite) load each database once per evaluator.
     """
 
     def __init__(
@@ -124,19 +123,12 @@ class ModelEvaluator:
         runner: Optional[BatchRunner] = None,
         execution_backend: Optional[BackendSpec] = None,
         optimize_plans: bool = True,
-        execution_workers: Optional[int] = None,
-        execution_morsel_size: Optional[int] = None,
     ):
         self.limit = limit
         self.max_workers = max_workers
         self._runner = runner
         self.execution_backend: Optional[ExecutionBackend] = (
-            resolve_backend(
-                execution_backend,
-                optimize=optimize_plans,
-                max_workers=execution_workers,
-                morsel_size=execution_morsel_size,
-            )
+            resolve_backend(execution_backend, optimize=optimize_plans)
             if execution_backend is not None
             else None
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import List, Protocol, Tuple, Union, runtime_checkable
 
 from repro.database.database import Database
 from repro.dvq.nodes import DVQuery
@@ -232,81 +232,29 @@ class InterpreterBackend:
 BackendSpec = Union[str, ExecutionBackend]
 
 
-def default_parallel_workers() -> int:
-    """The thread-pool width ``"columnar-parallel"`` defaults to: the core
-    count clamped to [2, 8] — enough to saturate the partitioned kernels
-    without oversubscribing small machines."""
-    import os
-
-    return max(2, min(8, os.cpu_count() or 1))
-
-
 def resolve_backend(
-    spec: BackendSpec,
-    optimize: bool = True,
-    approximate: bool = False,
-    max_workers: Optional[int] = None,
-    morsel_size: Optional[int] = None,
+    spec: BackendSpec, optimize: bool = True, approximate: bool = False
 ) -> ExecutionBackend:
     """Turn a backend name into an instance.
 
     Accepted names: ``"columnar"`` (the plan-driven columnar engine with
-    cost-based optimization — the default everywhere), ``"columnar-parallel"``
-    (the same engine with the parallel pipeline on — partitioned joins,
-    partial grouped aggregation, morsel scans — defaulting to
-    :func:`default_parallel_workers` threads; results are identical to the
-    serial engine for every worker count), ``"columnar-rules"`` (the columnar
-    engine with only the rule-based rewrites, no statistics),
-    ``"columnar-python"`` (columnar with the vectorized kernels disabled),
-    ``"columnar-approx"`` (columnar with the sampling-based approximate path
-    enabled), ``"interpreter"`` (the legacy row-at-a-time reference engine)
-    and ``"sqlite"`` (the DVQ->SQL compiler over SQLite).  ``optimize``
-    toggles the plan optimizer and ``approximate`` the AQP rewrite;
-    ``max_workers`` / ``morsel_size`` override the engine's parallelism knobs
-    (``None`` keeps each name's default) — all four only affect the columnar
-    backends.  Backend instances pass through unchanged, so callers can hand
-    in a pre-configured (and pre-warmed) backend.  The SQLite and columnar
+    cost-based optimization — the default everywhere), ``"interpreter"``
+    (the legacy row-at-a-time reference engine) and ``"sqlite"`` (the
+    DVQ->SQL compiler over SQLite).  ``optimize`` toggles the plan optimizer
+    and ``approximate`` the AQP rewrite; both only affect the columnar
+    backend.  Other columnar setups are built directly —
+    ``ColumnarBackend(cost_based=False)``, ``ColumnarBackend(vectorize=False)``
+    — and backend instances pass through unchanged, so callers can hand in a
+    pre-configured (and pre-warmed) backend.  The SQLite and columnar
     backends are imported lazily to keep this module light.
     """
     if not isinstance(spec, str):
         return spec
     name = spec.strip().lower()
-    engine_kwargs = {}
-    if max_workers is not None:
-        engine_kwargs["max_workers"] = max_workers
-    if morsel_size is not None:
-        engine_kwargs["morsel_size"] = morsel_size
-    if name in ("columnar", "columnar-cbo"):
+    if name == "columnar":
         from repro.executor.columnar import ColumnarBackend
 
-        return ColumnarBackend(
-            optimize=optimize, approximate=approximate, **engine_kwargs
-        )
-    if name == "columnar-parallel":
-        from repro.executor.columnar import ColumnarBackend
-
-        engine_kwargs.setdefault("max_workers", default_parallel_workers())
-        return ColumnarBackend(
-            optimize=optimize, approximate=approximate, **engine_kwargs
-        )
-    if name == "columnar-rules":
-        from repro.executor.columnar import ColumnarBackend
-
-        return ColumnarBackend(
-            optimize=optimize, cost_based=False, approximate=approximate,
-            **engine_kwargs,
-        )
-    if name == "columnar-python":
-        from repro.executor.columnar import ColumnarBackend
-
-        return ColumnarBackend(
-            optimize=optimize, vectorize=False, approximate=approximate,
-            **engine_kwargs,
-        )
-    if name == "columnar-approx":
-        from repro.executor.columnar import ColumnarBackend
-
-        return ColumnarBackend(optimize=optimize, approximate=True, **engine_kwargs)
+        return ColumnarBackend(optimize=optimize, approximate=approximate)
     if name == "interpreter":
         return InterpreterBackend()
     if name == "sqlite":
@@ -315,6 +263,5 @@ def resolve_backend(
         return SQLiteBackend()
     raise ValueError(
         f"Unknown execution backend {spec!r}; expected 'columnar', "
-        "'columnar-cbo', 'columnar-parallel', 'columnar-rules', "
-        "'columnar-python', 'columnar-approx', 'interpreter' or 'sqlite'"
+        "'interpreter' or 'sqlite'"
     )

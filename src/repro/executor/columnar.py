@@ -24,19 +24,9 @@ vector kernel either reproduces its scalar counterpart bit-for-bit or
 
 That decline-don't-approximate contract is what keeps the engine row-for-row
 identical to the interpreter, SQLite, and its own unvectorized mode
-(``vectorize=False``) in the differential suite.  With ``max_workers > 1``
-the whole pipeline parallelises over a :class:`~repro.runtime.runner.
-BatchRunner` thread pool under the same contract (see
-:mod:`repro.executor.parallel`): predicate scans shard into row-range
-morsels whose masks concatenate in range order; grouping and grouped
-aggregates compute per-morsel partials merged by worker-count-independent
-combines; equi-joins range-partition both sides on the key and re-emit in
-the canonical probe-major order.  Every parallel kernel either reproduces
-the serial kernel bit-for-bit or declines to it, so results never depend on
-worker count or morsel size.  The cost-based optimizer pins each
-join/aggregate serial or parallel from estimated cardinality
-(:attr:`~repro.plan.nodes.Join.parallel`) so small inputs skip the
-partitioning overhead; unhinted plans decide by input size at runtime.
+(``vectorize=False``) in the differential suite.  The engine runs every
+operator on the calling thread: one serial vectorized path, with its
+per-operator scalar fallback.
 
 :class:`ColumnarBackend` wraps the engine behind the
 :class:`~repro.executor.backend.ExecutionBackend` protocol: plan, optimize
@@ -71,16 +61,7 @@ from repro.executor.ordering import (
     canonical_top_k,
     encode_sort_key,
     legacy_order_key,
-    sort_order,
     topk_order,
-)
-from repro.executor.parallel import (
-    morsel_ranges,
-    parallel_group_ids,
-    parallel_grouped_aggregate,
-    parallel_topk,
-    partitioned_join_indices,
-    partitioned_sort,
 )
 from repro.executor.predicates import evaluate_condition, evaluate_condition_vector
 from repro.plan.nodes import (
@@ -104,7 +85,6 @@ from repro.plan.nodes import (
     output_labels,
 )
 from repro.plan.optimizer import OptimizerConfig, optimize
-from repro.runtime.runner import BatchRunner
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.plan.sampling import SamplingConfig
@@ -112,9 +92,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: Batch key of the derived bin-label column (cannot collide with a scan key,
 #: whose first element is a table's effective name).
 BIN_COLUMN = ("", "__bin__")
-
-#: Default number of rows per morsel when scans shard across workers.
-DEFAULT_MORSEL_SIZE = 65536
 
 _EMPTY_INDICES = np.empty(0, dtype=np.intp)
 
@@ -152,7 +129,7 @@ class _Batch:
     """Aligned typed columns: the unit of data flowing between plan operators.
 
     Columns are held as :class:`_LazyColumn` selections over the scan-level
-    base columns: :meth:`take` and :meth:`slice` only compose index arrays
+    base columns: :meth:`take` only composes index arrays
     (once per distinct selection, not once per column), deferring the
     expensive object/typed/mask gathers until an operator reads the column
     through :meth:`column`.
@@ -197,25 +174,6 @@ class _Batch:
             None if self.bin_codes is None else self.bin_codes[indices],
         )
 
-    def slice(self, start: int, stop: int) -> "_Batch":
-        composed = {}
-        columns: Dict[Tuple[str, str], _LazyColumn] = {}
-        for key, holder in self.columns.items():
-            if holder.indices is None:
-                # a row-range of an ungathered base is a zero-copy view
-                columns[key] = _LazyColumn(holder.base.slice(start, stop))
-            else:
-                selection = composed.get(id(holder.indices))
-                if selection is None:
-                    selection = holder.indices[start:stop]
-                    composed[id(holder.indices)] = selection
-                columns[key] = _LazyColumn(holder.base, selection)
-        return _Batch(
-            stop - start,
-            columns,
-            None if self.bin_codes is None else self.bin_codes[start:stop],
-        )
-
 
 def _scan_of(node: PlanNode) -> Scan:
     """The base scan under a join input (skipping filters and samples)."""
@@ -234,25 +192,11 @@ class ColumnarEngine:
         vectorize: run the NumPy kernels (with per-value fallback).  Off, the
             engine evaluates every value through the scalar functions — the
             reference mode the differential suite compares against.
-        max_workers: thread-pool width for the parallel pipeline — morsel
-            scans, partitioned joins, partial grouped aggregation; ``1``
-            stays serial.  Results are identical for every width.
-        morsel_size: rows per morsel when sharding work across workers (also
-            the per-partition row target of partitioned joins).
     """
 
-    def __init__(
-        self,
-        bin_interval: int = 100,
-        vectorize: bool = True,
-        max_workers: int = 1,
-        morsel_size: int = DEFAULT_MORSEL_SIZE,
-    ):
+    def __init__(self, bin_interval: int = 100, vectorize: bool = True):
         self.bin_interval = bin_interval
         self.vectorize = vectorize
-        self.morsel_size = max(int(morsel_size), 1)
-        self.max_workers = max_workers
-        self._runner = BatchRunner(max_workers=max_workers) if max_workers > 1 else None
 
     # -- row-producing nodes -------------------------------------------------
 
@@ -335,11 +279,7 @@ class ColumnarEngine:
             return None
         if node.descending:
             codes = ~codes
-        permutation: Optional[np.ndarray] = None
-        if self._runner is not None and node.parallel is not False:
-            permutation = partitioned_sort(codes, (), self._runner, self.morsel_size)
-        if permutation is None:
-            permutation = np.argsort(codes, kind="stable")
+        permutation = np.argsort(codes, kind="stable")
         return self._gather_project(batch.take(permutation), project)
 
     def _topk_project(
@@ -381,21 +321,10 @@ class ColumnarEngine:
                 return None
             primary = ~keys[sort.index] if sort.descending else keys[sort.index]
             secondaries = keys
-            hint = sort.parallel
         else:
             primary = keys[0]
             secondaries = keys[1:]
-            hint = node.parallel
-        count = min(node.count, batch.length)
-        indices: Optional[np.ndarray] = None
-        if self._runner is not None and hint is not False:
-            ranges = morsel_ranges(batch.length, self.morsel_size)
-            if len(ranges) >= 2:
-                indices = parallel_topk(
-                    primary, secondaries, count, ranges, self._runner
-                )
-        if indices is None:
-            indices = topk_order(primary, secondaries, count)
+        indices = topk_order(primary, secondaries, min(node.count, batch.length))
         return self._gather_project(batch.take(indices), project)
 
     # -- aggregation ---------------------------------------------------------
@@ -422,10 +351,6 @@ class ColumnarEngine:
             return gid, np.zeros(1, dtype=np.intp), 1
         if batch.length == 0:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), 0
-        if self._runner is not None and node.parallel is not False:
-            encoded = self._group_ids_parallel(node, batch)
-            if encoded is not None:
-                return encoded
         combined: Optional[np.ndarray] = None
         for key in node.keys:
             if isinstance(key, BinKey):
@@ -448,38 +373,6 @@ class ColumnarEngine:
         rank[order] = np.arange(order.size)
         return rank[inverse], first_idx[order], order.size
 
-    def _group_ids_parallel(
-        self, node: Aggregate, batch: _Batch
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
-        """Morsel-parallel first-seen group encode, or ``None`` to decline.
-
-        Declines on inputs below two morsels, on keys whose serial encode
-        goes through the Python dict (mixed/NaN columns — dict equality is
-        not ``np.unique`` equality there), and on any morsel-task failure.
-        When it returns, the ids equal the serial encode exactly.
-        """
-        assert self._runner is not None
-        ranges = morsel_ranges(batch.length, self.morsel_size)
-        if len(ranges) < 2:
-            return None
-        sources: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
-        for key in node.keys:
-            if isinstance(key, BinKey):
-                codes = batch.bin_codes
-                if codes is None:
-                    return None  # unvectorized bin labels: arbitrary objects
-                sources.append((codes, None))
-                continue
-            column = batch.column(key.key())
-            if column.kind == KIND_NUMBER and not column.has_nan:
-                sources.append((column.data, column.mask))
-            elif column.kind == KIND_TEXT:
-                # all-string columns: np.unique equality == dict key equality
-                sources.append((column.data, column.mask))
-            else:
-                return None
-        return parallel_group_ids(sources, ranges, self._runner)
-
     def _aggregate_grouped(
         self,
         node: Aggregate,
@@ -488,11 +381,6 @@ class ColumnarEngine:
         first_rows: np.ndarray,
         group_count: int,
     ) -> List[Tuple[object, ...]]:
-        parallel_ranges: Optional[List[Tuple[int, int]]] = None
-        if self._runner is not None and node.parallel is not False:
-            ranges = morsel_ranges(batch.length, self.morsel_size)
-            if len(ranges) >= 2:
-                parallel_ranges = ranges
         members_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
         def members(group: int) -> List[int]:
@@ -513,21 +401,9 @@ class ColumnarEngine:
                     columns_out.append([int(count) for count in counts])
                     continue
                 column = batch.column(output.argument.key())
-                values = None
-                if parallel_ranges is not None:
-                    values = parallel_grouped_aggregate(
-                        output.function,
-                        column,
-                        gid,
-                        group_count,
-                        output.distinct,
-                        parallel_ranges,
-                        self._runner,
-                    )
-                if values is None:
-                    values = grouped_aggregate_vector(
-                        output.function, column, gid, group_count, distinct=output.distinct
-                    )
+                values = grouped_aggregate_vector(
+                    output.function, column, gid, group_count, distinct=output.distinct
+                )
                 if values is None:
                     objects = column.objects
                     values = [
@@ -650,28 +526,10 @@ class ColumnarEngine:
 
     def _filter(self, node: Filter, database: Database) -> _Batch:
         batch = self._batch(node.child, database)
-        mask = self._predicate_mask(node.predicate, batch)
-        indices = np.flatnonzero(mask)
+        indices = np.flatnonzero(self._mask(node.predicate, batch))
         if indices.size == batch.length:
             return batch
         return batch.take(indices)
-
-    def _predicate_mask(self, predicate: Predicate, batch: _Batch) -> np.ndarray:
-        runner = self._runner
-        if runner is None or batch.length <= self.morsel_size:
-            return self._mask(predicate, batch)
-        ranges = [
-            (start, min(start + self.morsel_size, batch.length))
-            for start in range(0, batch.length, self.morsel_size)
-        ]
-        report = runner.run(
-            ranges, lambda rng: self._mask(predicate, batch.slice(rng[0], rng[1]))
-        )
-        if report.failure_count:
-            # re-run serially so the original exception type propagates
-            return self._mask(predicate, batch)
-        # concatenation in range order makes the result worker-count-independent
-        return np.concatenate(report.values())
 
     def _mask(self, predicate: Predicate, batch: _Batch) -> np.ndarray:
         if isinstance(predicate, Comparison):
@@ -722,11 +580,6 @@ class ColumnarEngine:
             return self._empty_join(left, right)
         build_column = build_holder.get()
         indices: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # the partitioned kernel emits the same pairs in the same canonical
-        # order as the sort kernel, so trying it first never changes results
-        use_parallel = (
-            self.vectorize and self._runner is not None and node.parallel is not False
-        )
         if node.build_side == "left":
             # cost-based flip: build on the (estimated smaller) left input and
             # probe with the right.  The kernels emit probe-major pairs, so a
@@ -734,11 +587,7 @@ class ColumnarEngine:
             # restores the canonical order — left-major with build rows
             # ascending within each probe row — making the flip invisible in
             # results (each probe row's matches were already ascending).
-            if use_parallel:
-                indices = partitioned_join_indices(
-                    build_column, probe_column, self._runner, self.morsel_size
-                )
-            if indices is None and self.vectorize:
+            if self.vectorize:
                 indices = _vector_join_indices(build_column, probe_column)
             if indices is None:
                 indices = _scalar_join_indices(
@@ -748,11 +597,7 @@ class ColumnarEngine:
             order = np.argsort(left_indices, kind="stable")
             indices = (left_indices[order], right_indices[order])
         else:
-            if use_parallel:
-                indices = partitioned_join_indices(
-                    probe_column, build_column, self._runner, self.morsel_size
-                )
-            if indices is None and self.vectorize:
+            if self.vectorize:
                 indices = _vector_join_indices(probe_column, build_column)
             if indices is None:
                 indices = _scalar_join_indices(
@@ -903,12 +748,9 @@ class ColumnarBackend:
         optimizer_config: which optimizer rules apply when ``optimize`` is on.
         vectorize: run the NumPy kernels; off = the per-value reference mode
             (the ``"columnar-python"`` entry of the differential matrix).
-        max_workers: thread-pool width for the parallel pipeline — scans,
-            joins, aggregation (1 = serial; results identical either way).
-        morsel_size: rows per morsel / join partition for parallel work.
         cost_based: feed table statistics into the optimizer so the
             cost-based rules (join-order enumeration, build-side selection,
-            filter-cascade ordering, parallel-operator choice) apply.  Off =
+            filter-cascade ordering) apply.  Off =
             the rule-based-only rewrites of the pre-statistics engine;
             results are identical either way.
         approximate: try the sampling-based AQP rewrite
@@ -928,18 +770,11 @@ class ColumnarBackend:
         optimize: bool = True,
         optimizer_config: Optional[OptimizerConfig] = None,
         vectorize: bool = True,
-        max_workers: int = 1,
-        morsel_size: int = DEFAULT_MORSEL_SIZE,
         cost_based: bool = True,
         approximate: bool = False,
         sampling_config: Optional["SamplingConfig"] = None,
     ):
-        self._engine = ColumnarEngine(
-            bin_interval=bin_interval,
-            vectorize=vectorize,
-            max_workers=max_workers,
-            morsel_size=morsel_size,
-        )
+        self._engine = ColumnarEngine(bin_interval=bin_interval, vectorize=vectorize)
         self.normalize = normalize
         self.optimize = optimize
         self.optimizer_config = optimizer_config or OptimizerConfig()

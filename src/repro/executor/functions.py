@@ -211,39 +211,19 @@ def _grouped_distinct_sum_avg(
     ]
 
 
-def grouped_first_rows(
-    mask: np.ndarray, gid: np.ndarray, group_count: int
-) -> np.ndarray:
-    """Each group's first non-NULL row index (``-1``: no values)."""
-    result = np.full(group_count, -1, dtype=np.intp)
-    valid_rows = np.flatnonzero(~mask)
-    if valid_rows.size:
-        uniques, first = np.unique(gid[valid_rows], return_index=True)
-        result[uniques] = valid_rows[first]
-    return result
-
-
 def grouped_extreme_rows(
     name: str,
     data: np.ndarray,
     mask: np.ndarray,
     gid: np.ndarray,
     group_count: int,
-    nan_first: bool = True,
 ) -> np.ndarray:
     """Per-group row index of the scalar min()/max() winner (``-1``: empty).
 
     Reproduces Python's fold over each group's values in row order: the
     running extreme is replaced only when a candidate wins a strict ``<`` /
     ``>`` comparison, so equal values keep the earliest row and NaN — which
-    loses every comparison — wins only as a group's *first* value.  Shared
-    by the serial MIN/MAX kernel and the morsel-parallel partials.
-
-    With ``nan_first=False`` the NaN-leads-the-group override is skipped and
-    the result is the pure non-NaN extreme (``-1`` when all values are NaN).
-    The parallel merge needs that: whether NaN leads is a property of the
-    *global* first row, which one morsel cannot know — it reconstructs the
-    override from :func:`grouped_first_rows` after merging.
+    loses every comparison — wins only as a group's *first* value.
     """
     result = np.full(group_count, -1, dtype=np.intp)
     valid_rows = np.flatnonzero(~mask)
@@ -296,7 +276,7 @@ def grouped_extreme_rows(
         # per segment
         first_hits = hits[np.unique(segment_ids[hits], return_index=True)[1]]
         result[sorted_groups[first_hits]] = valid_rows[order[first_hits]]
-    if nan_first and nan_slots is not None:
+    if nan_slots is not None:
         # a group whose first value is NaN keeps it: the fold starts there
         # and no later comparison can dethrone it
         nan_led = np.flatnonzero(nan_slots[starts])

@@ -45,7 +45,8 @@ class WorkbenchConfig:
         gred_top_k: retrieval ``top_k`` used by the prepared GRED pipeline.
         max_workers: worker threads for batched evaluation runs; ``1`` keeps
             the historical serial loop (results are identical either way —
-            predictions are independent across examples).
+            predictions are independent across examples).  Each execution
+            check itself runs serially on the engine.
         llm_cache: prepare GRED with ``use_llm_cache`` so repeated completion
             requests across variant test sets are served from memory.
         execution_backend: when set (``"columnar"``, ``"interpreter"`` or
@@ -58,11 +59,6 @@ class WorkbenchConfig:
             used (prepared GRED pipelines and evaluation checks alike).  On
             by default; results are identical either way — this is the
             optimizer-ablation switch.
-        execution_workers: thread-pool width of the columnar engine's
-            parallel pipeline for the execution checks (``1`` = serial;
-            results are identical for every width).
-        execution_morsel_size: rows per morsel / join partition when
-            ``execution_workers > 1`` (``None`` = the engine default).
         max_repair_rounds: prepare GRED with the execution-guided repair
             loop enabled for this many rounds (``0`` keeps the historical
             pipeline).  Uses ``execution_backend`` (falling back to the
@@ -80,8 +76,6 @@ class WorkbenchConfig:
     llm_cache: bool = True
     execution_backend: Optional[str] = None
     optimize_plans: bool = True
-    execution_workers: int = 1
-    execution_morsel_size: Optional[int] = None
     max_repair_rounds: int = 0
     index: IndexConfig = field(default_factory=IndexConfig)
 
@@ -153,8 +147,6 @@ class Workbench:
             max_repair_rounds=self.config.max_repair_rounds,
             execution_backend=self.config.execution_backend or "columnar",
             optimize_plans=self.config.optimize_plans,
-            execution_workers=self.config.execution_workers,
-            execution_morsel_size=self.config.execution_morsel_size,
             index=self.config.index,
         )
 
@@ -266,8 +258,6 @@ class Workbench:
             max_workers=self.config.max_workers,
             execution_backend=backend,
             optimize_plans=self.config.optimize_plans,
-            execution_workers=self.config.execution_workers or None,
-            execution_morsel_size=self.config.execution_morsel_size,
         )
         (baseline_name, baseline), (repaired_name, repaired) = variants.items()
         dataset = self.suite.variant(kind)
@@ -298,8 +288,6 @@ class Workbench:
             max_workers=self.config.max_workers,
             execution_backend=self.config.execution_backend,
             optimize_plans=self.config.optimize_plans,
-            execution_workers=self.config.execution_workers or None,
-            execution_morsel_size=self.config.execution_morsel_size,
         )
         return evaluator.evaluate(model, dataset, model_name=model_name)
 

@@ -73,13 +73,6 @@ BIN_GROUP_ESTIMATE = 50.0
 #: Guessed NDV of a group key with no statistics.
 DEFAULT_GROUP_NDV = 25.0
 
-#: Estimated input rows above which partitioned parallel joins/aggregation
-#: pay for their partitioning overhead.  Below it the cost-based optimizer
-#: pins the operator serial (``parallel=False``); above it the engine is
-#: told to partition.  Roughly two default morsels — the same break-even
-#: the morsel-parallel scans use.
-PARALLEL_ROW_THRESHOLD = 100_000.0
-
 
 def _clamp(value: float, low: float = 0.0, high: float = 1.0) -> float:
     return min(max(value, low), high)
@@ -272,32 +265,6 @@ class CostModel:
             rows = self.cardinality(node.child)
             return self.cost(node.child) + rows * math.log2(rows + 2.0)
         return self.cardinality(node)  # pragma: no cover - exhaustive above
-
-    def parallel_profitable(self, node: PlanNode) -> bool:
-        """Whether partitioned parallel execution of ``node`` should pay off.
-
-        Joins partition on the larger input (that bounds the per-partition
-        work), aggregates on their child's rows.  Sorts and top-k cuts
-        compare their ``n log n`` sort work against the threshold's own
-        ``n log n`` work — the same break-even expressed in the sort's cost
-        function (``log`` being monotone, this crosses exactly at the row
-        threshold).  Purely a physical-execution hint: the engine produces
-        identical results either way.
-        """
-        if isinstance(node, Join):
-            rows = max(self.cardinality(node.left), self.cardinality(node.right))
-        elif isinstance(node, Aggregate):
-            rows = self.cardinality(node.child)
-        elif isinstance(node, (Sort, Limit)):
-            rows = self.cardinality(node.child)
-            work = rows * math.log2(rows + 2.0)
-            threshold = PARALLEL_ROW_THRESHOLD * math.log2(
-                PARALLEL_ROW_THRESHOLD + 2.0
-            )
-            return work >= threshold
-        else:
-            return False
-        return rows >= PARALLEL_ROW_THRESHOLD
 
     def annotate(self, node: PlanNode) -> str:
         """The ``explain`` annotation for one node."""

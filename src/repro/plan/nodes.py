@@ -260,21 +260,15 @@ class Join(_NodeBase):
     build_key: Optional[str] = "right"
     strategy: str = NESTED_LOOP
     build_side: str = "right"
-    #: cost-based parallel-execution hint: ``True`` = partition across
-    #: workers, ``False`` = stay serial, ``None`` (no statistics) = let the
-    #: engine decide from actual input sizes.  Purely physical — results are
-    #: identical either way.
-    parallel: Optional[bool] = None
 
     def children(self) -> Tuple["PlanNode", ...]:
         return (self.left, self.right)
 
     def describe(self) -> str:
         build = "" if self.build_side == "right" else f", build={self.build_side}"
-        flags = ", parallel" if self.parallel else ""
         return (
             f"Join({self.left_key.render()} = {self.right_key.render()}, "
-            f"strategy={self.strategy}{build}{flags})"
+            f"strategy={self.strategy}{build})"
         )
 
 
@@ -347,8 +341,6 @@ class Aggregate(_NodeBase):
     child: "PlanNode"
     keys: Tuple[GroupKey, ...]
     outputs: Tuple[OutputExpr, ...]
-    #: cost-based parallel-execution hint (see :attr:`Join.parallel`).
-    parallel: Optional[bool] = None
 
     def children(self) -> Tuple["PlanNode", ...]:
         return (self.child,)
@@ -356,8 +348,7 @@ class Aggregate(_NodeBase):
     def describe(self) -> str:
         keys = ", ".join(key.render() for key in self.keys)
         outputs = ", ".join(output.render() for output in self.outputs)
-        flags = ", parallel" if self.parallel else ""
-        return f"Aggregate(keys=[{keys}], outputs=[{outputs}]{flags})"
+        return f"Aggregate(keys=[{keys}], outputs=[{outputs}])"
 
 
 @dataclass(frozen=True)
@@ -381,15 +372,12 @@ class Sort(_NodeBase):
     child: "PlanNode"
     index: int
     descending: bool
-    #: cost-based parallel-execution hint (see :attr:`Join.parallel`).
-    parallel: Optional[bool] = None
 
     def children(self) -> Tuple["PlanNode", ...]:
         return (self.child,)
 
     def describe(self) -> str:
-        flags = ", parallel" if self.parallel else ""
-        return f"Sort(#{self.index} {'DESC' if self.descending else 'ASC'}{flags})"
+        return f"Sort(#{self.index} {'DESC' if self.descending else 'ASC'})"
 
 
 @dataclass(frozen=True)
@@ -398,16 +386,12 @@ class Limit(_NodeBase):
 
     child: "PlanNode"
     count: int
-    #: cost-based parallel-execution hint for the top-k selection kernel
-    #: (see :attr:`Join.parallel`).
-    parallel: Optional[bool] = None
 
     def children(self) -> Tuple["PlanNode", ...]:
         return (self.child,)
 
     def describe(self) -> str:
-        flags = ", parallel" if self.parallel else ""
-        return f"Limit({self.count}{flags})"
+        return f"Limit({self.count})"
 
 
 PlanNode = Union[Scan, Sample, Join, Filter, Bin, Aggregate, Project, Sort, Limit]

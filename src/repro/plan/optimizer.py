@@ -22,7 +22,7 @@ row interpreter and SQLite — and individually toggleable through
   the rest of the plan references (outputs, group keys, predicates, join
   keys, the bin column).
 
-Four further rules are *cost-based*: they consult table statistics through a
+Three further rules are *cost-based*: they consult table statistics through a
 :class:`~repro.plan.cost.CostModel` and only run when :func:`optimize` is
 handed one (``statistics=``) — without statistics the optimizer behaves
 exactly as the rule-based subset above:
@@ -39,13 +39,6 @@ exactly as the rule-based subset above:
   AND-conjuncts becomes a cascade of single-conjunct filters, most selective
   innermost, so later (expensive) predicates only see surviving rows — the
   engine's vectorized masks have no short-circuit inside one predicate tree.
-* **parallel-operator choice** (``parallel_ops``): joins, aggregates, sorts
-  and top-k cuts get a ``parallel`` hint from estimated input cardinality —
-  ``True`` above :data:`~repro.plan.cost.PARALLEL_ROW_THRESHOLD` (sorts
-  compare their ``n log n`` work against the threshold's), ``False`` below,
-  so small inputs skip partitioning overhead.  A purely physical hint for
-  the columnar engine's partitioned kernels; results are identical either
-  way.
 """
 
 from __future__ import annotations
@@ -82,10 +75,9 @@ from repro.plan.nodes import (
 class OptimizerConfig:
     """Which rewrite rules :func:`optimize` applies (all on by default).
 
-    The cost-based rules (``join_order``, ``build_side``, ``filter_order``,
-    ``parallel_ops``) additionally require statistics to be passed to
-    :func:`optimize`; with no statistics they are inert regardless of these
-    flags.
+    The cost-based rules (``join_order``, ``build_side``, ``filter_order``)
+    additionally require statistics to be passed to :func:`optimize`; with no
+    statistics they are inert regardless of these flags.
     """
 
     fold_constants: bool = True
@@ -95,7 +87,6 @@ class OptimizerConfig:
     join_order: bool = True
     build_side: bool = True
     filter_order: bool = True
-    parallel_ops: bool = True
 
     def rule_names(self) -> Tuple[str, ...]:
         names = []
@@ -105,7 +96,6 @@ class OptimizerConfig:
             "join_order",
             "build_side",
             "filter_order",
-            "parallel_ops",
             "hash_join",
             "pruning",
         ):
@@ -140,8 +130,6 @@ def optimize(
             plan = select_build_sides(plan, model)
         if config.filter_order:
             plan = order_filter_cascades(plan, model)
-        if config.parallel_ops:
-            plan = choose_parallel_operators(plan, model)
     if config.hash_join:
         plan = select_hash_joins(plan)
     if config.pruning:
@@ -394,25 +382,6 @@ def order_filter_cascades(plan: PlanNode, model: CostModel) -> PlanNode:
         return child
 
     return _rewrite(plan, order)
-
-
-def choose_parallel_operators(plan: PlanNode, model: CostModel) -> PlanNode:
-    """Pin each join/aggregate/sort/limit serial or parallel from cardinality.
-
-    Small inputs (below :data:`~repro.plan.cost.PARALLEL_ROW_THRESHOLD` —
-    for sorts and top-k cuts, below its equivalent ``n log n`` work) would
-    pay partitioning overhead for nothing, so they are pinned serial
-    (``parallel=False``); large inputs are told to partition.  The hint is
-    purely physical — the engine's partitioned kernels reproduce the serial
-    kernels bit-for-bit — so this rule never changes results.
-    """
-
-    def choose(node: PlanNode) -> PlanNode:
-        if isinstance(node, (Join, Aggregate, Sort, Limit)):
-            return replace(node, parallel=model.parallel_profitable(node))
-        return node
-
-    return _rewrite(plan, choose)
 
 
 # -- hash-join selection -----------------------------------------------------

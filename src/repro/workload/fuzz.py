@@ -46,11 +46,6 @@ def default_engine_matrix() -> Dict[str, object]:
         "columnar": ColumnarBackend(optimize=True, cost_based=False),
         "columnar-noopt": ColumnarBackend(optimize=False),
         "columnar-python": ColumnarBackend(optimize=True, vectorize=False),
-        # tiny morsels + no cost-based serial pins so the partitioned
-        # join/aggregate kernels actually engage at fuzz-database scale
-        "columnar-parallel": ColumnarBackend(
-            optimize=True, cost_based=False, max_workers=4, morsel_size=512
-        ),
     }
 
 

@@ -28,6 +28,7 @@ from repro.dvq.nodes import (
     WhereClause,
 )
 from repro.dvq.tokens import TokenType
+from repro.evaluation.metrics import evaluate_predictions
 
 SIMPLE = "Visualize BAR SELECT JOB_ID , AVG(MANAGER_ID) FROM employees GROUP BY JOB_ID"
 COMPLEX = (
@@ -141,6 +142,23 @@ class TestParser:
     def test_unknown_bin_unit_raises(self):
         with pytest.raises(DVQParseError):
             parse_dvq("Visualize LINE SELECT d , AVG(v) FROM t BIN d BY DECADE")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Visualize SELECT a FROM t",
+            "Visualize STACKED SELECT a FROM t",
+            "Visualize STACKED",
+        ],
+    )
+    def test_missing_chart_type_raises_parse_error(self, text):
+        # a keyword that is not a chart type must fail typed, so evaluation
+        # (which catches DVQError) scores the prediction as wrong
+        with pytest.raises(DVQParseError):
+            parse_dvq(text)
+        result = evaluate_predictions([(text, "Visualize BAR SELECT a FROM t")])
+        assert result.total == 1
+        assert result.overall_accuracy == 0.0
 
 
 class TestSerializer:

@@ -110,20 +110,6 @@ class TestValueRanks:
             lambda: ColumnarBackend(optimize=True, vectorize=False),
             id="columnar-python",
         ),
-        # morsels of a handful of rows so the partitioned sort / parallel
-        # top-k kernels engage even on this ten-row table
-        pytest.param(
-            lambda: ColumnarBackend(
-                optimize=True, cost_based=False, max_workers=4, morsel_size=4
-            ),
-            id="columnar-parallel",
-        ),
-        pytest.param(
-            lambda: ColumnarBackend(
-                optimize=True, cost_based=False, max_workers=2, morsel_size=3
-            ),
-            id="columnar-parallel-tiny-morsels",
-        ),
     ],
 )
 class TestEngineOrderByWithNaN:

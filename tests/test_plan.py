@@ -236,11 +236,10 @@ class TestOptimizer:
     def test_rule_names_reflect_toggles(self):
         assert OptimizerConfig().rule_names() == (
             "fold_constants", "pushdown", "join_order", "build_side",
-            "filter_order", "parallel_ops", "hash_join", "pruning",
+            "filter_order", "hash_join", "pruning",
         )
         assert OptimizerConfig(pushdown=False, join_order=False).rule_names() == (
-            "fold_constants", "build_side", "filter_order", "parallel_ops",
-            "hash_join", "pruning",
+            "fold_constants", "build_side", "filter_order", "hash_join", "pruning",
         )
 
 
@@ -371,8 +370,12 @@ class TestBackendRegistration:
         assert resolve_backend("columnar", optimize=False).optimize is False
 
     def test_unknown_backend_names_all_engines(self):
-        with pytest.raises(ValueError, match="columnar"):
-            resolve_backend("postgres")
+        # columnar setups are ColumnarBackend arguments (cost_based=False,
+        # vectorize=False, approximate=True), not backend names
+        for name in ("postgres", "columnar-parallel", "columnar-cbo",
+                     "columnar-rules", "columnar-python", "columnar-approx"):
+            with pytest.raises(ValueError, match="'columnar', 'interpreter' or 'sqlite'"):
+                resolve_backend(name)
 
     def test_instances_pass_through(self):
         backend = ColumnarBackend(optimize=False)

@@ -162,13 +162,8 @@ class TestNullKeyJoins:
         assert not matrix["columnar-python"].vectorize
         assert matrix["columnar-cbo"].cost_based
         assert not matrix["columnar"].cost_based
-        parallel = matrix["columnar-parallel"]
-        assert parallel._engine.max_workers == 4
-        # small morsels so the partitioned kernels engage at fuzz scale
-        assert parallel._engine.morsel_size == 512
         assert set(matrix) == {
-            "sqlite", "columnar-cbo", "columnar", "columnar-noopt",
-            "columnar-python", "columnar-parallel",
+            "sqlite", "columnar-cbo", "columnar", "columnar-noopt", "columnar-python",
         }
 
 
@@ -180,7 +175,6 @@ class TestInjectedBugRegression:
         for mismatch in report.mismatches:
             assert mismatch.engine in (
                 "columnar-cbo", "columnar", "columnar-noopt", "columnar-python",
-                "columnar-parallel",
             )
             assert mismatch.kind == "rows"
             minimized = parse_dvq(mismatch.minimized_text)
@@ -264,10 +258,8 @@ def _sort_heavy_factory(cache):
 class TestSortHeavySweeps:
     """ORDER BY / LIMIT-weighted sweeps over null- and NaN-heavy sort columns.
 
-    The default engine matrix includes ``columnar-parallel`` with
-    ``cost_based=False`` and 512-row morsels, so the partitioned sort and
-    parallel top-k kernels actually engage at fuzz-database scale — the spy
-    test proves it rather than assuming it.
+    The spy test proves the vectorized sort permutation and top-k selection
+    answer these queries rather than assuming it.
     """
 
     def test_sort_heavy_null_key_sweep_is_mismatch_free(self, null_key_database):
@@ -304,26 +296,22 @@ class TestSortHeavySweeps:
         assert "sqlite" not in report.engines
 
     def test_sort_heavy_sweep_engages_the_sort_kernels(self, database, monkeypatch):
-        calls = {"topk": 0, "psort": 0, "ptopk": 0}
+        calls = {"topk": 0, "sort": 0}
         real_topk = columnar_module.topk_order
-        real_psort = columnar_module.partitioned_sort
-        real_ptopk = columnar_module.parallel_topk
+        real_sort = columnar_module.ColumnarEngine._sort_project
 
         def spy_topk(*args, **kwargs):
             calls["topk"] += 1
             return real_topk(*args, **kwargs)
 
-        def spy_psort(*args, **kwargs):
-            calls["psort"] += 1
-            return real_psort(*args, **kwargs)
-
-        def spy_ptopk(*args, **kwargs):
-            calls["ptopk"] += 1
-            return real_ptopk(*args, **kwargs)
+        def spy_sort(*args, **kwargs):
+            rows = real_sort(*args, **kwargs)
+            if rows:  # the permutation answered (None = declined to scalar)
+                calls["sort"] += 1
+            return rows
 
         monkeypatch.setattr(columnar_module, "topk_order", spy_topk)
-        monkeypatch.setattr(columnar_module, "partitioned_sort", spy_psort)
-        monkeypatch.setattr(columnar_module, "parallel_topk", spy_ptopk)
+        monkeypatch.setattr(columnar_module.ColumnarEngine, "_sort_project", spy_sort)
         fuzzer = DifferentialFuzzer(
             database,
             generator_factory=_sort_heavy_factory(weakref.WeakKeyDictionary()),
@@ -333,7 +321,7 @@ class TestSortHeavySweeps:
         report = fuzzer.run(100)
         assert report.ok, report.summary()
         assert calls["topk"] > 0, "vectorized top-k selection never ran"
-        assert calls["ptopk"] > 0, "parallel top-k never engaged"
+        assert calls["sort"] > 0, "the vectorized sort permutation never answered"
 
     def test_nan_fraction_actually_injects_nan_sort_values(self, nan_sort_database):
         nans = 0
