@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-diff bench bench-index bench-index-check bench-plan bench-plan-check bench-vector bench-vector-check bench-aqp bench-aqp-check bench-sort bench-sort-check bench-summary bench-paper-scale fuzz fuzz-check quickstart lint
+.PHONY: test test-fast test-diff bench bench-index bench-index-check bench-plan bench-plan-check bench-vector bench-vector-check bench-aqp bench-aqp-check bench-sort bench-sort-check bench-summary bench-paper-scale perfbench-check fuzz fuzz-check quickstart lint
 
 test:            ## tier-1 suite (tests/ + benchmarks/, fail fast)
 	$(PYTHON) -m pytest -x -q
@@ -53,6 +53,9 @@ bench-summary:   ## one trajectory table from every benchmarks/BENCH_*.json
 
 bench-paper-scale: ## benchmarks at the paper's full corpus scale (slow)
 	$(PYTHON) -m pytest benchmarks -q -s --paper-scale
+
+perfbench-check: ## tests of the end-to-end benchmark's own code (perfbench/; used by CI)
+	$(PYTHON) -m pytest perfbench -q
 
 fuzz:            ## at-scale differential fuzz: 10k queries, 12-table snowflake, 120k rows (slow, ~15-20 min)
 	REPRO_FUZZ_QUERIES=10000 REPRO_FUZZ_ROWS=120000 REPRO_FUZZ_TABLES=12 \

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.database.schema import DatabaseSchema
 from repro.embeddings.tokenization import char_ngrams, content_words, split_identifier
@@ -19,11 +19,20 @@ class LinkCandidate:
     score: float
 
 
-def _jaccard(left: Sequence[str], right: Sequence[str]) -> float:
-    left_set, right_set = set(left), set(right)
-    if not left_set or not right_set:
+def _jaccard(left: AbstractSet[str], right: AbstractSet[str]) -> float:
+    if not left or not right:
         return 0.0
-    return len(left_set & right_set) / len(left_set | right_set)
+    return len(left & right) / len(left | right)
+
+
+@dataclass(frozen=True)
+class _Features:
+    """What a score needs from one side alone: a phrase or an identifier."""
+
+    name: str  # a phrase's words joined by "_", or an identifier's lower-cased name
+    words: FrozenSet[str]  # the lower-cased words
+    expanded: FrozenSet[str]  # the words plus, in semantic mode, their related words
+    trigrams: FrozenSet[str]  # character trigrams of the words joined by spaces
 
 
 class SchemaLinker:
@@ -47,6 +56,10 @@ class SchemaLinker:
         self.use_synonyms = use_synonyms
         self.use_char_similarity = use_char_similarity
         self.min_score = min_score
+        # identifier name -> its features.  Keyed by name, not by schema:
+        # the generation behaviour rebuilds its schema from prompt text on
+        # every call, while the names come from the catalog's finite set.
+        self._identifiers: Dict[str, _Features] = {}
 
     # -- scoring -------------------------------------------------------------
 
@@ -61,23 +74,39 @@ class SchemaLinker:
     def column_words(self, column_name: str) -> List[str]:
         return [word.lower() for word in split_identifier(column_name)] or [column_name.lower()]
 
-    def score_phrase(self, phrase_words: Sequence[str], column_name: str) -> float:
-        """Similarity in [0, 1] between a phrase (already tokenised) and a column."""
-        column_parts = self.column_words(column_name)
-        phrase_lower = [word.lower() for word in phrase_words]
-        if not phrase_lower:
+    def _features(self, name: str, words: List[str]) -> _Features:
+        trigrams = char_ngrams(" ".join(words)) if self.use_char_similarity else ()
+        return _Features(name, frozenset(words), frozenset(self._expand(words)), frozenset(trigrams))
+
+    def _phrase(self, phrase_words: Sequence[str]) -> _Features:
+        words = [word.lower() for word in phrase_words]
+        return self._features("_".join(words), words)
+
+    def _identifier(self, name: str) -> _Features:
+        features = self._identifiers.get(name)
+        if features is None:
+            # two threads may both compute a missing entry; setdefault keeps
+            # the first and the two are equal anyway
+            features = self._identifiers.setdefault(
+                name, self._features(name.lower(), self.column_words(name))
+            )
+        return features
+
+    def _score(self, phrase: _Features, column: _Features) -> float:
+        if not phrase.words:
             return 0.0
         # exact identifier mention (the nvBench shortcut)
-        joined = "_".join(phrase_lower)
-        if column_name.lower() == joined or column_name.lower() in phrase_lower:
+        if column.name == phrase.name or column.name in phrase.words:
             return 1.0
-        word_score = _jaccard(self._expand(phrase_lower), self._expand(column_parts))
+        word_score = _jaccard(phrase.expanded, column.expanded)
         char_score = 0.0
         if self.use_char_similarity:
-            char_score = _jaccard(
-                char_ngrams(" ".join(phrase_lower)), char_ngrams(" ".join(column_parts))
-            )
+            char_score = _jaccard(phrase.trigrams, column.trigrams)
         return max(word_score, 0.9 * char_score)
+
+    def score_phrase(self, phrase_words: Sequence[str], column_name: str) -> float:
+        """Similarity in [0, 1] between a phrase (already tokenised) and a column."""
+        return self._score(self._phrase(phrase_words), self._identifier(column_name))
 
     # -- public linking APIs ---------------------------------------------------
 
@@ -89,10 +118,10 @@ class SchemaLinker:
         top_k: int = 3,
     ) -> List[LinkCandidate]:
         """Rank schema columns by how well they match ``phrase``."""
-        words = content_words(phrase) or [phrase.lower()]
+        features = self._phrase(content_words(phrase) or [phrase.lower()])
         candidates: List[LinkCandidate] = []
         for table_name, column in schema.all_columns():
-            score = self.score_phrase(words, column.name)
+            score = self._score(features, self._identifier(column.name))
             if preferred_table and table_name.lower() == preferred_table.lower():
                 score += 0.05
             if score >= self.min_score:
@@ -126,11 +155,11 @@ class SchemaLinker:
             for table_name, column in schema.all_columns():
                 if column.name.lower() == column_name.lower():
                     return LinkCandidate(table=table_name, column=column.name, score=1.0)
-        words = self.column_words(column_name)
+        features = self._phrase(self.column_words(column_name))
         best: Optional[LinkCandidate] = None
         preferred = {table.lower() for table in preferred_tables}
         for table_name, column in schema.all_columns():
-            score = self.score_phrase(words, column.name)
+            score = self._score(features, self._identifier(column.name))
             if table_name.lower() in preferred:
                 score += 0.1
             if score >= self.min_score and (best is None or score > best.score):
@@ -142,14 +171,18 @@ class SchemaLinker:
     ) -> List[LinkCandidate]:
         """Columns mentioned (explicitly or semantically) anywhere in a question."""
         words = content_words(nlq)
+        columns = [
+            (table_name, column.name, self._identifier(column.name))
+            for table_name, column in schema.all_columns()
+        ]
         scored: dict = {}
         window_sizes = (1, 2, 3)
         for size in window_sizes:
             for start in range(0, max(0, len(words) - size + 1)):
-                window = words[start : start + size]
-                for table_name, column in schema.all_columns():
-                    score = self.score_phrase(window, column.name)
-                    key = (table_name, column.name)
+                window = self._phrase(words[start : start + size])
+                for table_name, column_name, column in columns:
+                    score = self._score(window, column)
+                    key = (table_name, column_name)
                     if score > scored.get(key, 0.0):
                         scored[key] = score
         candidates = [

@@ -10,7 +10,7 @@ debugger exists to repair.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.dvq.nodes import AggregateExpr, AggregateFunction, ColumnRef, SelectItem
 from repro.dvq.normalize import try_parse
@@ -40,6 +40,9 @@ class GenerationBehaviour:
         # generation writes COUNT(*) where nvBench writes COUNT(<column>); the
         # DVQ-Retrieval Retuner is the component that matches the corpus style.
         self.count_star_style = count_star_style
+        # example question -> its content words; the examples are retrieved
+        # from the training library, so the texts come from a finite set
+        self._example_words: Dict[str, FrozenSet[str]] = {}
 
     def run(self, prompt: str) -> str:
         examples, schema_text, question = parse_generation_prompt(prompt)
@@ -72,7 +75,11 @@ class GenerationBehaviour:
         best = examples[-1]
         best_score = -1.0
         for example in examples:
-            example_words = set(content_words(example.question))
+            example_words = self._example_words.get(example.question)
+            if example_words is None:
+                example_words = self._example_words.setdefault(
+                    example.question, frozenset(content_words(example.question))
+                )
             if not example_words:
                 continue
             overlap = len(target_words & example_words) / len(target_words | example_words)

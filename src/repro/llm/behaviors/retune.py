@@ -8,7 +8,7 @@ follow the corpus convention, and aggregate spellings are normalised.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, NamedTuple
 
 from repro.dvq.nodes import (
     AggregateExpr,
@@ -23,10 +23,45 @@ from repro.dvq.serializer import serialize_dvq
 from repro.llm.parsing import parse_retune_prompt
 
 
+class _StyleVotes(NamedTuple):
+    """How one reference DVQ writes COUNT and not-null checks."""
+
+    count_column: int
+    count_star: int
+    not_null_keyword: int
+    not_null_literal: int
+
+
+def _style_votes(reference: str) -> _StyleVotes:
+    parsed = try_parse(reference)
+    if parsed is None:
+        return _StyleVotes(0, 0, 0, 0)
+    count_column = count_star = not_null_keyword = not_null_literal = 0
+    for item in parsed.select:
+        if isinstance(item.expr, AggregateExpr) and item.expr.function is AggregateFunction.COUNT:
+            if item.expr.argument.column == "*":
+                count_star += 1
+            else:
+                count_column += 1
+    if parsed.where is not None:
+        for condition in parsed.where.conditions:
+            if condition.operator.upper() == "IS NULL" and condition.negated:
+                not_null_keyword += 1
+            if condition.operator == "!=" and isinstance(condition.value, str):
+                if condition.value.lower() == "null":
+                    not_null_literal += 1
+    return _StyleVotes(count_column, count_star, not_null_keyword, not_null_literal)
+
+
 class RetuneBehaviour:
     """Rewrites a DVQ to follow the reference style."""
 
     name = "retune"
+
+    def __init__(self) -> None:
+        # reference DVQ text -> its style votes; the references are retrieved
+        # from the training library, so the texts come from a finite set
+        self._votes: Dict[str, _StyleVotes] = {}
 
     def run(self, prompt: str) -> str:
         references, original = parse_retune_prompt(prompt)
@@ -43,27 +78,15 @@ class RetuneBehaviour:
 
     def _reference_style(self, references: List[str]) -> dict:
         """Summarise the stylistic conventions of the reference DVQs."""
-        count_column = 0
-        count_star = 0
-        not_null_keyword = 0
-        not_null_literal = 0
+        count_column = count_star = not_null_keyword = not_null_literal = 0
         for reference in references:
-            parsed = try_parse(reference)
-            if parsed is None:
-                continue
-            for item in parsed.select:
-                if isinstance(item.expr, AggregateExpr) and item.expr.function is AggregateFunction.COUNT:
-                    if item.expr.argument.column == "*":
-                        count_star += 1
-                    else:
-                        count_column += 1
-            if parsed.where is not None:
-                for condition in parsed.where.conditions:
-                    if condition.operator.upper() == "IS NULL" and condition.negated:
-                        not_null_keyword += 1
-                    if condition.operator == "!=" and isinstance(condition.value, str):
-                        if condition.value.lower() == "null":
-                            not_null_literal += 1
+            votes = self._votes.get(reference)
+            if votes is None:
+                votes = self._votes.setdefault(reference, _style_votes(reference))
+            count_column += votes.count_column
+            count_star += votes.count_star
+            not_null_keyword += votes.not_null_keyword
+            not_null_literal += votes.not_null_literal
         return {
             "count_uses_column": count_column >= count_star,
             "not_null_uses_keyword": not_null_keyword >= not_null_literal,

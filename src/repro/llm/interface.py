@@ -36,17 +36,18 @@ class CompletionParams:
 
 @dataclass
 class CompletionRecord:
-    """One logged request/response pair."""
+    """One logged completion: the behaviour that answered it.
 
-    messages: List[ChatMessage]
-    params: CompletionParams
-    response: str
+    Prompts and responses are not kept, so a long-running model's log stays
+    small however much text it serves.
+    """
+
     behaviour: str = ""
 
 
 @dataclass
 class CompletionLog:
-    """An in-memory log of every completion made through a model."""
+    """An in-memory log of which behaviour answered each completion."""
 
     records: List[CompletionRecord] = field(default_factory=list)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.database.schema import Column, ColumnType, DatabaseSchema, ForeignKey, TableSchema
 from repro.llm import markers
@@ -27,19 +27,20 @@ def parse_schema_block(text: str) -> DatabaseSchema:
     """Parse the "# Table ..., columns = [...]" block into a schema object.
 
     Column types are unknown in the prompt, so every column defaults to TEXT —
-    downstream consumers only need names and foreign keys.
+    downstream consumers only need names and foreign keys.  ``*``, empty and
+    repeated column names are dropped, so a malformed block still parses.
     """
     tables: List[TableSchema] = []
     for match in _TABLE_LINE.finditer(text):
         name = match.group("name")
-        raw_columns = [part.strip() for part in match.group("columns").split(",")]
-        columns = tuple(
-            Column(name=column, ctype=ColumnType.TEXT)
-            for column in raw_columns
-            if column and column != "*"
-        )
+        # a repeated name keeps its first occurrence (names match case-insensitively)
+        columns: Dict[str, Column] = {}
+        for part in match.group("columns").split(","):
+            column = part.strip()
+            if column and column != "*":
+                columns.setdefault(column.lower(), Column(name=column, ctype=ColumnType.TEXT))
         if columns:
-            tables.append(TableSchema(name=name, columns=columns))
+            tables.append(TableSchema(name=name, columns=tuple(columns.values())))
     foreign_keys: List[ForeignKey] = []
     fk_match = _FK_LINE.search(text)
     if fk_match:

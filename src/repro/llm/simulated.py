@@ -18,8 +18,8 @@ class SimulatedChatModel(ChatModel):
 
     The model inspects the prompt for the task sentinels defined in
     :mod:`repro.llm.markers` and dispatches to the matching behaviour.  Every
-    call is recorded in :attr:`log` so tests and experiments can inspect which
-    behaviours were exercised and how often.
+    call's behaviour is recorded in :attr:`log` so tests and experiments can
+    inspect which behaviours were exercised and how often.
     """
 
     def __init__(self, lexicon: Optional[SynonymLexicon] = None):
@@ -34,14 +34,9 @@ class SimulatedChatModel(ChatModel):
     def complete(
         self, messages: Sequence[ChatMessage], params: Optional[CompletionParams] = None
     ) -> str:
-        params = params or CompletionParams()
         prompt = "\n".join(message.content for message in messages)
         behaviour, response = self._dispatch(prompt)
-        self.log.records.append(
-            CompletionRecord(
-                messages=list(messages), params=params, response=response, behaviour=behaviour
-            )
-        )
+        self.log.records.append(CompletionRecord(behaviour=behaviour))
         return response
 
     def _dispatch(self, prompt: str):

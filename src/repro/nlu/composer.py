@@ -207,11 +207,12 @@ class QueryComposer:
                     if self.linker.score_phrase(phrase.split(), table.name) >= 0.5:
                         return table.name
         # the table whose columns best match the question
+        links = self.linker.question_links(text, schema, top_k=6)
         best_table = None
         best_score = -1.0
         for table in schema.tables:
             score = 0.0
-            for candidate in self.linker.question_links(text, schema, top_k=6):
+            for candidate in links:
                 if candidate.table.lower() == table.name.lower():
                     score += candidate.score
             if score > best_score:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Word-level synonyms for schema identifier parts.  All keys are lower-case.
 WORD_SYNONYMS: Dict[str, List[str]] = {
@@ -233,6 +233,29 @@ class SynonymLexicon:
     )
     sentence_scaffolds: List[str] = field(default_factory=lambda: list(SENTENCE_SCAFFOLDS))
 
+    def __post_init__(self) -> None:
+        # word -> what ``related_words`` returns for it, built once because the
+        # lexicon is not changed after construction.  It is one hop, not a
+        # transitive closure: the word, its own targets, every source that
+        # lists it together with that source's targets, and abbreviations in
+        # both directions.
+        related: Dict[str, Set[str]] = {}
+
+        def relate(word: str, others: Iterable[str]) -> None:
+            related.setdefault(word, {word}).update(others)
+
+        for source, targets in self.word_synonyms.items():
+            relate(source, targets)
+            for target in targets:
+                relate(target, [source, *targets])
+        for full, abbreviated in self.abbreviations.items():
+            if abbreviated:
+                relate(full, [abbreviated])
+            relate(abbreviated, [full])
+        self._related: Dict[str, Tuple[str, ...]] = {
+            word: tuple(sorted(words)) for word, words in related.items()
+        }
+
     def synonyms_for(self, word: str) -> List[str]:
         """Synonyms of a single lower-case word (empty when unknown)."""
         return list(self.word_synonyms.get(word.lower(), []))
@@ -244,25 +267,14 @@ class SynonymLexicon:
         return rng.choice(options)
 
     def related_words(self, word: str) -> List[str]:
-        """The word plus every word it maps to or from (symmetric closure).
+        """The word plus every word it maps to or from, sorted.
 
         Used by schema-linking components to decide whether two identifier
-        words refer to the same concept.
+        words refer to the same concept.  A word the lexicon does not know is
+        related only to itself.
         """
         word = word.lower()
-        related = {word}
-        related.update(self.word_synonyms.get(word, []))
-        for source, targets in self.word_synonyms.items():
-            if word in targets:
-                related.add(source)
-                related.update(targets)
-        expansion = self.abbreviations.get(word)
-        if expansion:
-            related.add(expansion)
-        for full, abbreviated in self.abbreviations.items():
-            if word == abbreviated:
-                related.add(full)
-        return sorted(related)
+        return list(self._related.get(word, (word,)))
 
     def are_related(self, left: str, right: str) -> bool:
         """True when two words are synonyms/abbreviations of one another."""

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.embeddings import EmbedderConfig, TextEmbedder, VectorStore
 from repro.embeddings.tokenization import char_ngrams, content_words, split_identifier, word_tokens
-from repro.linking import SchemaLinker
+from repro.linking import LinkCandidate, SchemaLinker
+from repro.robustness.variants import VariantKind
 
 
 class TestTokenization:
@@ -135,3 +136,143 @@ class TestSchemaLinker:
         )
         linked = {link.column for link in links}
         assert "SALARY" in linked and "LAST_NAME" in linked
+
+
+def _list_jaccard(left, right):
+    left_set, right_set = set(left), set(right)
+    if not left_set or not right_set:
+        return 0.0
+    return len(left_set & right_set) / len(left_set | right_set)
+
+
+class PerPairLinker(SchemaLinker):
+    """Reference: the linker that scores every (phrase, column) pair from scratch."""
+
+    def score_phrase(self, phrase_words, column_name):
+        column_parts = self.column_words(column_name)
+        phrase_lower = [word.lower() for word in phrase_words]
+        if not phrase_lower:
+            return 0.0
+        joined = "_".join(phrase_lower)
+        if column_name.lower() == joined or column_name.lower() in phrase_lower:
+            return 1.0
+        word_score = _list_jaccard(self._expand(phrase_lower), self._expand(column_parts))
+        char_score = 0.0
+        if self.use_char_similarity:
+            char_score = _list_jaccard(
+                char_ngrams(" ".join(phrase_lower)), char_ngrams(" ".join(column_parts))
+            )
+        return max(word_score, 0.9 * char_score)
+
+    def link_phrase(self, phrase, schema, preferred_table=None, top_k=3):
+        words = content_words(phrase) or [phrase.lower()]
+        candidates = []
+        for table_name, column in schema.all_columns():
+            score = self.score_phrase(words, column.name)
+            if preferred_table and table_name.lower() == preferred_table.lower():
+                score += 0.05
+            if score >= self.min_score:
+                candidates.append(LinkCandidate(table=table_name, column=column.name, score=score))
+        candidates.sort(key=lambda candidate: -candidate.score)
+        return candidates[:top_k]
+
+    def map_foreign_column(self, column_name, schema, preferred_tables=()):
+        for table_name, column in schema.all_columns():
+            if column.name.lower() == column_name.lower():
+                return LinkCandidate(table=table_name, column=column.name, score=1.0)
+        words = self.column_words(column_name)
+        best = None
+        preferred = {table.lower() for table in preferred_tables}
+        for table_name, column in schema.all_columns():
+            score = self.score_phrase(words, column.name)
+            if table_name.lower() in preferred:
+                score += 0.1
+            if score >= self.min_score and (best is None or score > best.score):
+                best = LinkCandidate(table=table_name, column=column.name, score=score)
+        return best
+
+    def question_links(self, nlq, schema, top_k=6):
+        words = content_words(nlq)
+        scored = {}
+        for size in (1, 2, 3):
+            for start in range(0, max(0, len(words) - size + 1)):
+                window = words[start : start + size]
+                for table_name, column in schema.all_columns():
+                    score = self.score_phrase(window, column.name)
+                    key = (table_name, column.name)
+                    if score > scored.get(key, 0.0):
+                        scored[key] = score
+        candidates = [
+            LinkCandidate(table=table, column=column, score=score)
+            for (table, column), score in scored.items()
+            if score >= self.min_score
+        ]
+        candidates.sort(key=lambda candidate: -candidate.score)
+        return candidates[:top_k]
+
+
+#: The GRED behaviours' semantic linkers and the baselines' lexical ones.
+LINKER_CONFIGS = {
+    "generation": dict(use_synonyms=True, use_char_similarity=True, min_score=0.5),
+    "debug": dict(use_synonyms=True, use_char_similarity=True, min_score=0.15),
+    "repair": dict(use_synonyms=True, use_char_similarity=True, min_score=0.0),
+    "seq2vis": dict(use_synonyms=False, use_char_similarity=False, min_score=0.5),
+    "transformer": dict(use_synonyms=False, use_char_similarity=True, min_score=0.4),
+}
+
+
+class TestSchemaLinkerMatchesPerPairScoring:
+    @pytest.fixture(scope="class")
+    def cases(self, small_dataset, robustness_suite):
+        """(schema, questions, foreign identifiers) for every database, renamed twins included."""
+        questions = {}
+        examples = list(small_dataset.train)
+        for kind in VariantKind:
+            examples.extend(robustness_suite.variant(kind).examples)
+        for example in examples:
+            questions.setdefault(example.db_id, []).append(example.nlq)
+        twins = {}
+        for db_id, plan in robustness_suite.rename_plans.items():
+            twins[db_id] = plan.new_db_id
+            twins[plan.new_db_id] = db_id
+        cases = []
+        for database in robustness_suite.catalog:
+            twin = robustness_suite.catalog.get(twins[database.name]) if database.name in twins else None
+            foreign = [
+                (name, table.name)
+                for table in (twin or database).schema.tables
+                for name in [table.name] + table.column_names()
+            ]
+            cases.append((database.schema, questions.get(database.name, [])[:2], foreign))
+        assert len(twins) >= 4 and len(cases) > len(twins) // 2
+        return cases
+
+    @pytest.mark.parametrize("config", LINKER_CONFIGS.values(), ids=list(LINKER_CONFIGS))
+    def test_every_api_matches_the_reference(self, cases, config):
+        linker, reference = SchemaLinker(**config), PerPairLinker(**config)
+        for schema, questions, foreign in cases:
+            tables = schema.table_names()
+            phrases = ["the", "", "wage per division"] + [name.replace("_", " ") for name, _ in foreign]
+            for question in questions:
+                assert linker.question_links(question, schema, top_k=50) == reference.question_links(
+                    question, schema, top_k=50
+                )
+            if questions:
+                words = content_words(questions[0])
+                phrases.extend(" ".join(words[start : start + 3]) for start in range(len(words)))
+            for phrase in phrases:
+                assert linker.best_column(phrase, schema) == reference.best_column(phrase, schema)
+                assert linker.link_phrase(phrase, schema, tables[-1], top_k=50) == (
+                    reference.link_phrase(phrase, schema, tables[-1], top_k=50)
+                )
+            for name, table in foreign:
+                for preferred in ((), [table]):
+                    assert linker.map_foreign_column(name, schema, preferred) == (
+                        reference.map_foreign_column(name, schema, preferred)
+                    )
+                words = linker.column_words(name)
+                for candidate in tables + [name, ""]:
+                    assert linker.score_phrase(words, candidate) == reference.score_phrase(
+                        words, candidate
+                    )
+            assert linker.score_phrase([], tables[0]) == reference.score_phrase([], tables[0]) == 0.0

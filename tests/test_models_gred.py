@@ -4,6 +4,9 @@ These tests train on the small session-scoped corpus; they check behaviour and
 the paper's qualitative robustness story rather than absolute accuracy values.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import GRED, GREDConfig, build_ablation_variants
@@ -12,6 +15,7 @@ from repro.dvq.normalize import try_parse
 from repro.evaluation import ModelEvaluator
 from repro.models import RGVisNetModel, Seq2VisModel, TransformerModel
 from repro.models.base import collect_training_columns, sketch_targets, signals_from_sketch
+from repro.runtime import BatchRunner
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +159,33 @@ class TestGRED:
         prepared_gred.predict(example.nlq, database)
         behaviours = {record.behaviour for record in prepared_gred.llm.log.records[before:]}
         assert {"generation", "retune", "debug"} <= behaviours
+
+    def test_threaded_traces_with_cold_memos_equal_serial_traces(
+        self, small_dataset, robustness_suite
+    ):
+        # the behaviours' linker, template and style memos start empty and
+        # are filled by 8 workers at once, switching threads every microsecond
+        examples = robustness_suite.dual_variant.examples[:60]
+        config = GREDConfig(top_k=5, verify_execution=True, max_repair_rounds=2)
+        serial = GRED(config).fit(small_dataset.train, small_dataset.catalog).predict_batch(
+            examples, robustness_suite.catalog
+        )
+        threaded_gred = GRED(config).fit(small_dataset.train, small_dataset.catalog)
+        threaded = []
+        worker = threading.Thread(
+            target=lambda: threaded.extend(
+                threaded_gred.predict_batch(
+                    examples, robustness_suite.catalog, runner=BatchRunner(max_workers=8)
+                )
+            ),
+            daemon=True,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert threaded == serial

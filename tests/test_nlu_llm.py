@@ -1,18 +1,23 @@
 """Tests for question interpretation, condition extraction, the composer and the simulated LLM."""
 
+import re
+
 import pytest
 
 from repro.dvq import parse_dvq
 from repro.dvq.nodes import AggregateFunction, BinUnit, ChartType, SortDirection
+from repro.core import GRED, GREDConfig
+from repro.embeddings.tokenization import content_words
 from repro.linking import SchemaLinker
-from repro.llm import ChatMessage, SimulatedChatModel
+from repro.llm import ChatMessage, ChatModel, SimulatedChatModel
 from repro.llm.behaviors.annotation import AnnotationBehaviour
 from repro.llm.behaviors.debug import DebugBehaviour
-from repro.llm.behaviors.retune import RetuneBehaviour
+from repro.llm.behaviors.retune import RetuneBehaviour, _style_votes
 from repro.llm.parsing import parse_generation_prompt, parse_retune_prompt, parse_schema_block
 from repro.core.prompts import make_debug_prompt, make_generation_prompt, make_retune_prompt
 from repro.nlu import ConditionExtractor, QuestionInterpreter
 from repro.nlu.composer import QueryComposer, StructurePrior
+from repro.robustness.variants import VariantKind
 
 
 class TestQuestionInterpreter:
@@ -199,3 +204,91 @@ class TestSimulatedLLMBehaviours:
     def test_unknown_prompt_returns_empty(self):
         model = SimulatedChatModel()
         assert model.complete([ChatMessage(role="user", content="hello there")]) == ""
+
+
+class PromptRecorder(ChatModel):
+    """Passes completions through to a simulated model and keeps each prompt by behaviour."""
+
+    def __init__(self):
+        self.model = SimulatedChatModel()
+        self.prompts = {}
+
+    def complete(self, messages, params=None):
+        response = self.model.complete(messages, params)
+        prompt = "\n".join(message.content for message in messages)
+        self.prompts.setdefault(self.model.log.records[-1].behaviour, []).append(prompt)
+        return response
+
+
+@pytest.fixture(scope="module")
+def trace_prompts(small_dataset, robustness_suite):
+    """The prompts of two trace logs: paraphrased questions over the original
+    databases, then dual variants over the renamed twins."""
+    logs = {}
+    for kind, count in ((VariantKind.NLQ, 30), (VariantKind.BOTH, 20)):
+        recorder = PromptRecorder()
+        gred = GRED(GREDConfig(top_k=5, verify_execution=True, max_repair_rounds=2), llm=recorder)
+        gred.fit(small_dataset.train, small_dataset.catalog)
+        for example in robustness_suite.variant(kind).examples[:count]:
+            gred.trace(example.nlq, robustness_suite.catalog.get(example.db_id))
+        logs[kind] = recorder.prompts
+    return logs
+
+
+def _repeat_last_column(prompt):
+    """Every schema line with its last column repeated in upper case."""
+    return re.sub(
+        r"(#\s*Table\s+\w+\s*,\s*columns\s*=\s*\[[^\]]*?)(\w+)(\s*\])",
+        lambda match: f"{match.group(1)}{match.group(2)} , {match.group(2).upper()}{match.group(3)}",
+        prompt,
+    )
+
+
+class TestPromptRobustness:
+    def test_repeated_column_is_ignored(self, trace_prompts):
+        model = SimulatedChatModel()
+        checked = {}
+        for prompts in trace_prompts.values():
+            for behaviour in ("generation", "annotation", "debug", "repair"):
+                for prompt in prompts.get(behaviour, []):
+                    repeated = _repeat_last_column(prompt)
+                    assert repeated != prompt
+                    expected = model.complete([ChatMessage(role="user", content=prompt)])
+                    answer = model.complete([ChatMessage(role="user", content=repeated)])
+                    assert answer == expected
+                    checked[behaviour] = checked.get(behaviour, 0) + 1
+        assert set(checked) == {"generation", "annotation", "debug", "repair"}, checked
+
+    def test_schema_block_keeps_first_of_repeated_columns(self):
+        schema = parse_schema_block(
+            "# Table suppliers, columns = [ * , supplier_id , Rating , country , rating , RATING ]"
+        )
+        assert schema.table("suppliers").column_names() == ["supplier_id", "Rating", "country"]
+
+    @pytest.mark.parametrize("behaviour", ["generation", "retune", "debug", "repair"])
+    def test_memos_filled_by_one_log_answer_another_like_a_fresh_model(
+        self, trace_prompts, behaviour
+    ):
+        warmed = getattr(SimulatedChatModel(), behaviour)
+        for prompt in trace_prompts[VariantKind.NLQ][behaviour]:
+            warmed.run(prompt)
+        for prompt in trace_prompts[VariantKind.BOTH][behaviour]:
+            assert warmed.run(prompt) == getattr(SimulatedChatModel(), behaviour).run(prompt)
+
+    def test_memo_entries_equal_what_their_keys_compute(self, trace_prompts):
+        # outputs can hide a wrong memo entry (a style majority or a template
+        # choice that happens not to change), so check every entry directly
+        model = SimulatedChatModel()
+        for prompts in trace_prompts.values():
+            for texts in prompts.values():
+                for prompt in texts:
+                    model.complete([ChatMessage(role="user", content=prompt)])
+        assert model.retune._votes and model.generation._example_words
+        for reference, votes in model.retune._votes.items():
+            assert votes == _style_votes(reference)
+        for question, words in model.generation._example_words.items():
+            assert words == frozenset(content_words(question))
+        for linker in (model.generation.linker, model.debug.linker, model.repair.linker):
+            assert linker._identifiers
+            for name, features in linker._identifiers.items():
+                assert features == linker._features(name.lower(), linker.column_words(name))

@@ -1,5 +1,7 @@
 """Tests for the nvBench-Rob construction (synonyms, rewriter, renamer, suite)."""
 
+import pytest
+
 from repro.dvq import parse_dvq
 from repro.executor import DVQExecutor
 from repro.robustness import (
@@ -9,6 +11,33 @@ from repro.robustness import (
     VariantKind,
     default_lexicon,
 )
+from repro.robustness.synonyms import SynonymLexicon
+
+
+def scanned_related_words(lexicon, word):
+    """Reference: the two scans over the lexicon that the index replaces."""
+    word = word.lower()
+    related = {word}
+    related.update(lexicon.word_synonyms.get(word, []))
+    for source, targets in lexicon.word_synonyms.items():
+        if word in targets:
+            related.add(source)
+            related.update(targets)
+    expansion = lexicon.abbreviations.get(word)
+    if expansion:
+        related.add(expansion)
+    for full, abbreviated in lexicon.abbreviations.items():
+        if word == abbreviated:
+            related.add(full)
+    return sorted(related)
+
+
+def lexicon_words(lexicon):
+    words = set(lexicon.abbreviations) | set(lexicon.abbreviations.values())
+    for source, targets in lexicon.word_synonyms.items():
+        words.add(source)
+        words.update(targets)
+    return sorted(words)
 
 
 class TestSynonymLexicon:
@@ -28,6 +57,35 @@ class TestSynonymLexicon:
 
     def test_identical_words_are_related(self):
         assert default_lexicon().are_related("city", "CITY")
+
+    @pytest.mark.parametrize(
+        "lexicon",
+        [
+            default_lexicon(),
+            # "pay" is a target of two sources, a source itself and an
+            # abbreviation; "id" has an empty abbreviation
+            SynonymLexicon(
+                word_synonyms={
+                    "salary": ["wage", "pay"],
+                    "income": ["pay", "earnings"],
+                    "pay": ["salary"],
+                },
+                abbreviations={"payment": "pay", "salary": "sal", "id": ""},
+            ),
+        ],
+        ids=["default", "custom"],
+    )
+    def test_related_words_match_the_lexicon_scan(self, lexicon):
+        words = lexicon_words(lexicon)
+        assert len(words) > 5
+        queries = words + [word.upper() for word in words] + ["qwertyuiop", "Unknown", ""]
+        for word in queries:
+            assert lexicon.related_words(word) == scanned_related_words(lexicon, word), word
+
+    def test_related_words_returns_a_fresh_list(self):
+        lexicon = default_lexicon()
+        lexicon.related_words("salary").append("mutated")
+        assert "mutated" not in lexicon.related_words("salary")
 
 
 class TestNLQRewriter:
