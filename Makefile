@@ -24,7 +24,7 @@ bench-index:     ## vector-index benchmark: recall + >=2.5x throughput bar (-m i
 bench-index-check: ## index benchmark correctness assertions only (no timing bar; used by CI)
 	$(PYTHON) -m pytest benchmarks -q -m index -k "not throughput_vs_exact"
 
-bench-plan:      ## plan-engine benchmark: >=3x throughput bar + optimizer ablation (-m plan)
+bench-plan:      ## plan-engine benchmark: >=3x throughput bar + pushdown vs canonical plan (-m plan)
 	$(PYTHON) -m pytest benchmarks -q -s -m plan
 
 bench-plan-check: ## plan benchmark correctness assertions only (no timing bar; used by CI)

@@ -15,7 +15,9 @@ import pathlib
 
 import pytest
 
+from repro.executor import ColumnarEngine, ExecutionResult, normalize_result
 from repro.experiments import Workbench, WorkbenchConfig
+from repro.plan import output_labels, plan_query
 
 #: Machine-readable bench results land next to this file as
 #: ``BENCH_<name>.json`` (git-ignored), one per throughput module, so runs
@@ -62,6 +64,32 @@ def bench_report(request):
         return path
 
     return write
+
+
+class _CanonicalPlanBackend:
+    """The canonical plan, without predicate pushdown, on the columnar engine.
+
+    The unoptimized side of the plan and vector benches: the same engine as
+    :class:`~repro.executor.ColumnarBackend`, minus :func:`repro.plan.optimize`.
+    """
+
+    def __init__(self) -> None:
+        self._engine = ColumnarEngine()
+
+    def execute(self, query, database) -> ExecutionResult:
+        plan = plan_query(query, database.schema)
+        result = ExecutionResult(
+            columns=list(output_labels(plan)),
+            rows=self._engine.run(plan, database),
+            chart_type=query.chart_type.value,
+        )
+        return normalize_result(result, query)
+
+
+@pytest.fixture
+def canonical_plan_backend():
+    """A backend whose ``execute`` runs the canonical (unoptimized) plan."""
+    return _CanonicalPlanBackend()
 
 
 def pytest_addoption(parser):

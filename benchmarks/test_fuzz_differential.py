@@ -2,10 +2,10 @@
 
 A seeded schema graph is built, populated with correlated data at a tiered
 scale, and thousands of statistics-driven DVQs are streamed through the
-interpreter (reference), SQLite, and both columnar variants.  Every engine
-must return identical rows and identical failure categories; any mismatch is
-delta-debugged down to a minimal, paste-ready, seeded reproducer and printed
-via the report summary.
+interpreter (reference), SQLite, and the vectorized and scalar columnar
+engines.  Every engine must return identical rows and identical failure
+categories; any mismatch is delta-debugged down to a minimal, paste-ready,
+seeded reproducer and printed via the report summary.
 
 The sweep is scaled through environment variables so the same test serves as
 a fast tier-1 smoke and as the at-scale acceptance run:
@@ -16,7 +16,7 @@ a fast tier-1 smoke and as the at-scale acceptance run:
     REPRO_FUZZ_TOPOLOGY   star | snowflake | chain              (default star)
     REPRO_FUZZ_WORKERS    BatchRunner thread pool size          (default 2)
     REPRO_FUZZ_SEED       base seed (query i uses seed base+i)  (default 0)
-    REPRO_FUZZ_JOIN_COST  nested-loop work bound per join       (default 300000)
+    REPRO_FUZZ_JOIN_COST  row-pair bound per drawn join         (default 300000)
 
 ``make fuzz-check`` runs a CI-sized smoke (2k queries, 30k rows);
 ``make fuzz`` runs the acceptance sweep (10k queries, 12-table snowflake,

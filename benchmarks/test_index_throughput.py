@@ -8,8 +8,7 @@ the same way by domain):
    least 95% of the exact top-5 neighbours;
 2. **Throughput** — batched partitioned search must answer queries at >=
    ``MIN_SPEEDUP`` x the exact backend's rate (measured ~6x with
-   ``nprobe/num_partitions`` = 16/128, on top of the partition fan-out
-   across ``BatchRunner`` workers);
+   ``nprobe/num_partitions`` = 16/128, partitions scored serially);
 3. **Persistence** — reloading a snapshotted library must not re-embed
    anything (asserted via embedder call counts), and the recall/latency
    trade-off is reported on the real corpus via the workbench ablation.
@@ -39,12 +38,11 @@ QUERY_COUNT = 256
 TOP_K = 5
 NUM_PARTITIONS = 128
 NPROBE = 16
-SEARCH_WORKERS = 4
 
 #: Measured ~6-7x on a quiet multi-core machine; a throttled single-core CI
-#: box reaches 2.6-3.0x (thread fan-out cannot overlap, and sustained load
-#: lowers the clock), so the asserted bar sits below the knife edge while
-#: still requiring a substantial win over brute force.
+#: box reaches 2.6-3.0x (sustained load lowers the clock), so the asserted
+#: bar sits below the knife edge while still requiring a substantial win over
+#: brute force.
 MIN_SPEEDUP = 2.5
 MIN_RECALL = 0.95
 
@@ -69,9 +67,7 @@ def library():
 
     exact = ExactIndex()
     exact.add(keys, rows, payloads)
-    partitioned = PartitionedIndex(
-        num_partitions=NUM_PARTITIONS, nprobe=NPROBE, search_workers=SEARCH_WORKERS
-    )
+    partitioned = PartitionedIndex(num_partitions=NUM_PARTITIONS, nprobe=NPROBE)
     partitioned.add(keys, rows, payloads)
     partitioned.search_matrix(queries[:1], TOP_K)  # pay k-means training up front
     return exact, partitioned, queries
@@ -97,18 +93,6 @@ def test_partitioned_recall_at_5(library):
     assert recall >= MIN_RECALL, f"recall@{TOP_K} {recall:.3f} below {MIN_RECALL}"
 
 
-def test_partitioned_results_identical_across_worker_counts(library):
-    _, partitioned, queries = library
-    serial = PartitionedIndex(num_partitions=NUM_PARTITIONS, nprobe=NPROBE, search_workers=1)
-    matrix, keys, payloads = partitioned.snapshot()
-    serial.add(keys, matrix, payloads)
-    expected = serial.search_matrix(queries[:32], TOP_K)
-    actual = partitioned.search_matrix(queries[:32], TOP_K)
-    assert [[(h.key, h.score) for h in hits] for hits in actual] == [
-        [(h.key, h.score) for h in hits] for hits in expected
-    ]
-
-
 def test_partitioned_throughput_vs_exact(library, bench_report):
     exact, partitioned, queries = library
     exact.search_matrix(queries[:8], TOP_K)  # warm both paths
@@ -132,8 +116,8 @@ def test_partitioned_throughput_vs_exact(library, bench_report):
     print(
         f"\nindex throughput over a {LIBRARY_SIZE:,}-entry library, {QUERY_COUNT} queries:\n"
         f"  exact:       {exact_seconds:.3f}s ({QUERY_COUNT / exact_seconds:,.0f} q/s)\n"
-        f"  partitioned: {partitioned_seconds:.3f}s ({QUERY_COUNT / partitioned_seconds:,.0f} q/s, "
-        f"{SEARCH_WORKERS} workers)\n"
+        f"  partitioned: {partitioned_seconds:.3f}s "
+        f"({QUERY_COUNT / partitioned_seconds:,.0f} q/s)\n"
         f"  speedup: {speedup:.1f}x at recall@{TOP_K} {recall:.3f}"
     )
     bench_report(

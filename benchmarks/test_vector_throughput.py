@@ -140,14 +140,14 @@ def _assert_identical(expected, actual, label):
         assert left.rows == right.rows, f"{label}: {query_text}"
 
 
-def test_vector_engine_matches_the_interpreter_on_the_bench_workload():
+def test_vector_engine_matches_the_interpreter_on_the_bench_workload(canonical_plan_backend):
     """Correctness half (CI-safe): every kernel variant, identical results."""
     database = _bench_database(CHECK_ROWS)
     queries = [parse_dvq(text) for text in QUERIES]
     expected = [InterpreterBackend().execute(query, database) for query in queries]
     variants = {
         "vectorized": ColumnarBackend(),
-        "vectorized unoptimized": ColumnarBackend(optimize=False),
+        "vectorized unoptimized": canonical_plan_backend,
         "scalar": ColumnarBackend(vectorize=False),
     }
     for label, backend in variants.items():

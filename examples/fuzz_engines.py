@@ -1,8 +1,8 @@
 """Differential fuzzing walkthrough: schema graph -> fuzz sweep -> minimized repro.
 
 Builds a seeded snowflake schema graph with correlated data, sweeps a few
-hundred statistics-driven DVQs through the four-engine matrix (interpreter
-reference vs SQLite vs columnar vs unoptimized columnar), then injects a
+hundred statistics-driven DVQs through the engine matrix (interpreter
+reference vs SQLite vs vectorized and scalar columnar), then injects a
 deliberate comparison bug into the columnar engine and shows the fuzzer
 catching it and delta-debugging the failure down to a paste-ready reproducer.
 

@@ -71,7 +71,7 @@ def main():
     exact_seconds = time.perf_counter() - started
     print(f"\n20k-entry library, 200 queries — exact scan: {exact_seconds * 1e3:.0f} ms")
     for nprobe in (4, 8, 16):
-        index = PartitionedIndex(num_partitions=64, nprobe=nprobe, search_workers=4)
+        index = PartitionedIndex(num_partitions=64, nprobe=nprobe)
         index.add(keys, rows, list(range(len(rows))))
         index.search_matrix(queries[:1], 5)  # train the partitions
         started = time.perf_counter()

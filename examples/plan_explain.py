@@ -4,11 +4,10 @@ Demonstrates the unified-IR layer added in `repro.plan`:
 
 1. lower a DVQ to its canonical logical plan with `plan_query` and print
    `plan.explain()` — the operator tree both engines consume;
-2. run the rule-based optimizer and print the plan again to see predicate
-   pushdown, projection pruning and hash-join selection at work;
+2. run the optimizer and print the plan again to see predicate pushdown move
+   the filter below the join;
 3. execute on the columnar engine, the legacy row interpreter and SQLite and
-   check all three agree row-for-row;
-4. toggle individual optimizer rules to see their effect on the plan.
+   check all three agree row-for-row.
 
 Run with:  PYTHONPATH=src python examples/plan_explain.py
 """
@@ -17,7 +16,7 @@ from repro.database import DataGenerator
 from repro.database.schema import ColumnType, build_schema
 from repro.dvq import parse_dvq
 from repro.executor import ColumnarBackend, InterpreterBackend
-from repro.plan import OptimizerConfig, optimize, plan_query
+from repro.plan import optimize, plan_query
 from repro.sql import DVQToSQLCompiler, SQLiteBackend
 
 
@@ -64,7 +63,7 @@ def main():
 
     # 2. the optimized plan: what the columnar engine actually executes
     optimized = optimize(plan)
-    print("\noptimized plan (pushdown + pruning + hash join):")
+    print("\noptimized plan (predicate pushdown):")
     print(optimized.explain())
 
     # 3. three engines, one plan, identical rows
@@ -80,11 +79,6 @@ def main():
     for dept, average in reference.rows:
         print(f"  {dept:<18} {average:8.1f}")
     print(f"\ncompiled SQL: {DVQToSQLCompiler().compile(query, database.schema).sql}")
-
-    # 4. optimizer rules are individually toggleable (see OptimizerConfig)
-    no_pushdown = optimize(plan, OptimizerConfig(pushdown=False))
-    print("\nwith predicate pushdown disabled, the filter stays above the join:")
-    print(no_pushdown.explain())
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ def build_repair_variants(
     llm: Optional[ChatModel] = None,
     max_repair_rounds: int = 2,
     execution_backend: str = "columnar",
-    optimize_plans: bool = True,
     use_debugger: bool = True,
     use_llm_cache: bool = False,
 ) -> Dict[str, GRED]:
@@ -57,7 +56,6 @@ def build_repair_variants(
         top_k=top_k,
         use_debugger=use_debugger,
         execution_backend=execution_backend,
-        optimize_plans=optimize_plans,
         use_llm_cache=use_llm_cache,
     )
     with_repair = replace(base, max_repair_rounds=max_repair_rounds)

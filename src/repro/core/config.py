@@ -51,11 +51,6 @@ class GREDConfig:
             on the calling thread; batch whole traces with a
             :class:`~repro.runtime.runner.BatchRunner` instead.  Only
             meaningful with ``verify_execution`` or ``max_repair_rounds > 0``.
-        optimize_plans: run the rule-based plan optimizer (predicate
-            pushdown, projection pruning, hash joins, constant folding)
-            before executing on the columnar backend.  On by default; turn
-            off only for optimizer ablations — results are identical either
-            way.  Ignored by the other backends.
         approximate_execution: enable sampling-based approximate query
             processing on the columnar backend: eligible aggregate/bin
             queries are answered from a precomputed seeded row sample with
@@ -90,7 +85,6 @@ class GREDConfig:
     llm_cache_max_entries: Optional[int] = None
     verify_execution: bool = False
     execution_backend: str = "columnar"
-    optimize_plans: bool = True
     approximate_execution: bool = False
     index: IndexConfig = field(default_factory=IndexConfig)
     max_repair_rounds: int = 0

@@ -177,9 +177,7 @@ class GRED(TextToVisModel):
         self.debugger: Optional[AnnotationBasedDebugger] = None
         self.execution_backend: Optional[ExecutionBackend] = (
             resolve_backend(
-                config.execution_backend,
-                optimize=config.optimize_plans,
-                approximate=config.approximate_execution,
+                config.execution_backend, approximate=config.approximate_execution
             )
             if config.verify_execution or config.max_repair_rounds > 0
             else None

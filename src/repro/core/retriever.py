@@ -154,13 +154,8 @@ class GREDRetriever:
             # best-effort loaders rebuild instead of crashing
             raise SnapshotError(f"Corrupt retriever snapshot at {directory}: {error}") from error
         codec = NVBenchExampleCodec()
-        workers = self.index_config.search_workers
-        nlq_store = VectorStore.load(
-            os.path.join(directory, _NLQ_FILE), embedder, codec=codec, search_workers=workers
-        )
-        dvq_store = VectorStore.load(
-            os.path.join(directory, _DVQ_FILE), embedder, codec=codec, search_workers=workers
-        )
+        nlq_store = VectorStore.load(os.path.join(directory, _NLQ_FILE), embedder, codec=codec)
+        dvq_store = VectorStore.load(os.path.join(directory, _DVQ_FILE), embedder, codec=codec)
         for store in (nlq_store, dvq_store):
             if hasattr(store.index, "nprobe"):
                 # search-time knob: the caller's current setting wins over

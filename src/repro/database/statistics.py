@@ -1,6 +1,6 @@
-"""Optimizer statistics: row/null counts, NDV, histograms and MCVs per column.
+"""Table statistics: row/null counts, NDV, histograms and MCVs per column.
 
-These are the classic summaries a cost-based optimizer needs — row and null
+These are the classic summaries cardinality estimation needs — row and null
 counts, number of distinct values (NDV), min/max, an equi-depth histogram and
 a small most-common-values (MCV) list per column.  They started life in
 :mod:`repro.workload.stats` driving the workload generator; the cost model

@@ -164,7 +164,6 @@ class VectorStore(Generic[PayloadT]):
         path: str,
         embedder: TextEmbedder,
         codec: Optional[PayloadCodec] = None,
-        search_workers: int = 1,
     ) -> "VectorStore[PayloadT]":
         """Restore a saved library without re-embedding any entry.
 
@@ -172,7 +171,7 @@ class VectorStore(Generic[PayloadT]):
         built in (same configuration and fitted state) for scores to match
         the original store.
         """
-        index, texts, _ = load_index(path, codec=codec, search_workers=search_workers)
+        index, texts, _ = load_index(path, codec=codec)
         store: "VectorStore[PayloadT]" = cls(embedder, index=index)
         store._texts = list(texts)
         return store

@@ -108,10 +108,9 @@ class ModelEvaluator:
     :class:`~repro.executor.backend.ExecutionBackend` instance), every
     prediction is additionally executed against its target database and
     :attr:`PredictionRecord.executes` / :attr:`EvaluationRun.execution_rate`
-    report whether it materialises a chart.  ``optimize_plans`` toggles the
-    plan optimizer when the columnar backend is named (results are identical
-    either way).  ``max_workers`` batches whole predictions, never the
-    operators of one execution check: the engine runs each check serially.
+    report whether it materialises a chart.  ``max_workers`` batches whole
+    predictions, never the operators of one execution check: the engine runs
+    each check serially.
     The backend instance is kept across runs, so stateful engines (e.g.
     SQLite) load each database once per evaluator.
     """
@@ -122,13 +121,12 @@ class ModelEvaluator:
         max_workers: int = 1,
         runner: Optional[BatchRunner] = None,
         execution_backend: Optional[BackendSpec] = None,
-        optimize_plans: bool = True,
     ):
         self.limit = limit
         self.max_workers = max_workers
         self._runner = runner
         self.execution_backend: Optional[ExecutionBackend] = (
-            resolve_backend(execution_backend, optimize=optimize_plans)
+            resolve_backend(execution_backend)
             if execution_backend is not None
             else None
         )

@@ -232,20 +232,17 @@ class InterpreterBackend:
 BackendSpec = Union[str, ExecutionBackend]
 
 
-def resolve_backend(
-    spec: BackendSpec, optimize: bool = True, approximate: bool = False
-) -> ExecutionBackend:
+def resolve_backend(spec: BackendSpec, approximate: bool = False) -> ExecutionBackend:
     """Turn a backend name into an instance.
 
     Accepted names: ``"columnar"`` (the plan-driven columnar engine with
-    cost-based optimization — the default everywhere), ``"interpreter"``
-    (the legacy row-at-a-time reference engine) and ``"sqlite"`` (the
-    DVQ->SQL compiler over SQLite).  ``optimize`` toggles the plan optimizer
-    and ``approximate`` the AQP rewrite; both only affect the columnar
-    backend.  Other columnar setups are built directly —
-    ``ColumnarBackend(cost_based=False)``, ``ColumnarBackend(vectorize=False)``
-    — and backend instances pass through unchanged, so callers can hand in a
-    pre-configured (and pre-warmed) backend.  The SQLite and columnar
+    predicate pushdown — the default everywhere), ``"interpreter"`` (the
+    legacy row-at-a-time reference engine) and ``"sqlite"`` (the DVQ->SQL
+    compiler over SQLite).  ``approximate`` toggles the AQP rewrite and only
+    affects the columnar backend.  Other columnar setups are built directly
+    (``ColumnarBackend(vectorize=False)``), and backend instances pass
+    through unchanged, so callers can hand in a pre-configured (and
+    pre-warmed) backend.  The SQLite and columnar
     backends are imported lazily to keep this module light.
     """
     if not isinstance(spec, str):
@@ -254,7 +251,7 @@ def resolve_backend(
     if name == "columnar":
         from repro.executor.columnar import ColumnarBackend
 
-        return ColumnarBackend(optimize=optimize, approximate=approximate)
+        return ColumnarBackend(approximate=approximate)
     if name == "interpreter":
         return InterpreterBackend()
     if name == "sqlite":

@@ -19,7 +19,7 @@ vector kernel either reproduces its scalar counterpart bit-for-bit or
 * aggregates: :func:`repro.executor.functions.grouped_aggregate_vector`,
   falling back to :func:`~repro.executor.functions.apply_aggregate`;
 * joins: a sort/searchsorted kernel (NULL keys never match, per SQL),
-  falling back to the scalar hash/nested loop;
+  falling back to a scalar hash join;
 * the top-k cut: the canonical value order of :mod:`repro.executor.ordering`.
 
 That decline-don't-approximate contract is what keeps the engine row-for-row
@@ -29,8 +29,8 @@ operator on the calling thread: one serial vectorized path, with its
 per-operator scalar fallback.
 
 :class:`ColumnarBackend` wraps the engine behind the
-:class:`~repro.executor.backend.ExecutionBackend` protocol: plan, optimize
-(toggleable), execute, normalise.
+:class:`~repro.executor.backend.ExecutionBackend` protocol: plan, push
+predicates down, execute, normalise.
 """
 
 from __future__ import annotations
@@ -65,14 +65,12 @@ from repro.executor.ordering import (
 )
 from repro.executor.predicates import evaluate_condition, evaluate_condition_vector
 from repro.plan.nodes import (
-    HASH,
     Aggregate,
     AggregateOutput,
     Bin,
     BinKey,
     BinOutput,
     Comparison,
-    ConstPredicate,
     Filter,
     Join,
     Limit,
@@ -84,7 +82,7 @@ from repro.plan.nodes import (
     Sort,
     output_labels,
 )
-from repro.plan.optimizer import OptimizerConfig, optimize
+from repro.plan.optimizer import optimize
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.plan.sampling import SamplingConfig
@@ -544,8 +542,6 @@ class ColumnarEngine:
                 np.bool_,
                 count=len(column),
             )
-        if isinstance(predicate, ConstPredicate):
-            return np.full(batch.length, predicate.value, dtype=bool)
         left = self._mask(predicate.left, batch)
         right = self._mask(predicate.right, batch)
         if predicate.op == "AND":
@@ -580,29 +576,10 @@ class ColumnarEngine:
             return self._empty_join(left, right)
         build_column = build_holder.get()
         indices: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if node.build_side == "left":
-            # cost-based flip: build on the (estimated smaller) left input and
-            # probe with the right.  The kernels emit probe-major pairs, so a
-            # flipped build comes back right-major; the stable argsort below
-            # restores the canonical order — left-major with build rows
-            # ascending within each probe row — making the flip invisible in
-            # results (each probe row's matches were already ascending).
-            if self.vectorize:
-                indices = _vector_join_indices(build_column, probe_column)
-            if indices is None:
-                indices = _scalar_join_indices(
-                    build_column.objects, probe_column.objects, node.strategy == HASH
-                )
-            right_indices, left_indices = indices
-            order = np.argsort(left_indices, kind="stable")
-            indices = (left_indices[order], right_indices[order])
-        else:
-            if self.vectorize:
-                indices = _vector_join_indices(probe_column, build_column)
-            if indices is None:
-                indices = _scalar_join_indices(
-                    probe_column.objects, build_column.objects, node.strategy == HASH
-                )
+        if self.vectorize:
+            indices = _vector_join_indices(probe_column, build_column)
+        if indices is None:
+            indices = _scalar_join_indices(probe_column.objects, build_column.objects)
         left_indices, right_indices = indices
         left = left.take(left_indices)
         right = right.take(right_indices)
@@ -662,7 +639,7 @@ def _vector_join_indices(
 
     NULL keys never match (SQL semantics, shared with the scalar path).
     Pairs come back probe-major with build rows ascending within a probe row
-    — the exact emit order of both the scalar hash join and the nested loop.
+    — the exact emit order of the scalar hash join.
     Returns ``None`` for mixed-type or NaN key columns.
     """
     for column in (probe, build):
@@ -698,36 +675,30 @@ def _vector_join_indices(
 
 
 def _scalar_join_indices(
-    probe_column: np.ndarray, build_column: np.ndarray, hashed: bool
+    probe_column: np.ndarray, build_column: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The per-value join fallback; NULL keys never match (SQL semantics)."""
+    """The per-value hash-join fallback; NULL keys never match (SQL semantics).
+
+    Pairs come back probe-major with build rows ascending within a probe row.
+    """
     left_indices: List[int] = []
     right_indices: List[int] = []
-    if hashed:
-        buckets: Dict[object, List[int]] = {}
-        for index, value in enumerate(build_column):
-            if value is None:
-                continue
-            bucket = buckets.get(value)
-            if bucket is None:
-                buckets[value] = [index]
-            else:
-                bucket.append(index)
-        for index, value in enumerate(probe_column):
-            if value is None:
-                continue
-            matches = buckets.get(value)
-            if matches:
-                left_indices.extend([index] * len(matches))
-                right_indices.extend(matches)
-    else:
-        for index, probe_value in enumerate(probe_column):
-            if probe_value is None:
-                continue
-            for build_index, build_value in enumerate(build_column):
-                if build_value is not None and probe_value == build_value:
-                    left_indices.append(index)
-                    right_indices.append(build_index)
+    buckets: Dict[object, List[int]] = {}
+    for index, value in enumerate(build_column):
+        if value is None:
+            continue
+        bucket = buckets.get(value)
+        if bucket is None:
+            buckets[value] = [index]
+        else:
+            bucket.append(index)
+    for index, value in enumerate(probe_column):
+        if value is None:
+            continue
+        matches = buckets.get(value)
+        if matches:
+            left_indices.extend([index] * len(matches))
+            right_indices.extend(matches)
     return (
         np.asarray(left_indices, dtype=np.intp),
         np.asarray(right_indices, dtype=np.intp),
@@ -737,22 +708,16 @@ def _scalar_join_indices(
 class ColumnarBackend:
     """Plan-driven execution backend: the default engine of the repo.
 
+    Every query is planned (:func:`~repro.plan.planner.plan_query`), has its
+    predicates pushed below the joins (:func:`~repro.plan.optimizer.optimize`)
+    and runs on a :class:`ColumnarEngine`.
+
     Args:
         bin_interval: width of ``BIN ... BY INTERVAL`` buckets.
         normalize: apply the cross-engine result normalisation (on by
             default, like every backend).
-        optimize: run the plan optimizer before execution.  Turning it off
-            executes the canonical plan (nested-loop joins, unpruned scans) —
-            useful for optimizer ablations and differential testing; results
-            are identical either way.
-        optimizer_config: which optimizer rules apply when ``optimize`` is on.
         vectorize: run the NumPy kernels; off = the per-value reference mode
             (the ``"columnar-python"`` entry of the differential matrix).
-        cost_based: feed table statistics into the optimizer so the
-            cost-based rules (join-order enumeration, build-side selection,
-            filter-cascade ordering) apply.  Off =
-            the rule-based-only rewrites of the pre-statistics engine;
-            results are identical either way.
         approximate: try the sampling-based AQP rewrite
             (:mod:`repro.plan.sampling`) first for eligible aggregate
             queries, answering from a precomputed sample with scale-up and
@@ -767,18 +732,12 @@ class ColumnarBackend:
         self,
         bin_interval: int = 100,
         normalize: bool = True,
-        optimize: bool = True,
-        optimizer_config: Optional[OptimizerConfig] = None,
         vectorize: bool = True,
-        cost_based: bool = True,
         approximate: bool = False,
         sampling_config: Optional["SamplingConfig"] = None,
     ):
         self._engine = ColumnarEngine(bin_interval=bin_interval, vectorize=vectorize)
         self.normalize = normalize
-        self.optimize = optimize
-        self.optimizer_config = optimizer_config or OptimizerConfig()
-        self.cost_based = cost_based
         self.approximate = approximate
         self.sampling_config = sampling_config
 
@@ -787,20 +746,12 @@ class ColumnarBackend:
         return self._engine.vectorize
 
     def plan(self, query: DVQuery, database: Database) -> PlanNode:
-        """The plan this backend would execute (optimized when enabled)."""
+        """The plan this backend executes: the canonical plan, pushed down."""
         # deferred: repro.plan.planner transitively initialises repro.executor,
         # so a module-level import would be circular
         from repro.plan.planner import plan_query
 
-        plan = plan_query(query, database.schema)
-        if self.optimize:
-            statistics = None
-            if self.cost_based:
-                from repro.plan.cost import CostModel
-
-                statistics = CostModel(database)
-            plan = optimize(plan, self.optimizer_config, statistics=statistics)
-        return plan
+        return optimize(plan_query(query, database.schema))
 
     def execute(self, query: DVQuery, database: Database) -> ExecutionResult:
         """Execute ``query`` against ``database`` on the columnar engine.

@@ -70,8 +70,12 @@ class ExecutionResult:
 class _RowContext:
     """A joined row with per-source-table sub-rows for qualified lookups.
 
-    ``parts`` is keyed by *lowercase* table name and ``maps`` carries each
-    part's cached lowercase -> exact-casing column map
+    ``parts`` is keyed by each table's *lowercase* effective name (its alias,
+    else its table name), so the two sides of an aliased self-join stay
+    apart.  ``aliases`` maps every lowercase qualifier — alias or table name
+    — to the effective name of the first table it names, like
+    :meth:`repro.plan.planner.Scope.resolve`.  ``maps`` carries each part's
+    cached lowercase -> exact-casing column map
     (:meth:`~repro.database.schema.TableSchema.lower_map`), so a lookup is two
     dict probes instead of an O(columns) scan with repeated ``.lower()`` calls.
     """
@@ -90,17 +94,29 @@ class _RowContext:
 
     def lookup(self, column: ColumnRef) -> object:
         if column.table:
-            table_name = self.aliases.get(column.table.lower(), column.table).lower()
-            part = self.parts.get(table_name)
+            part_name = self.aliases.get(column.table.lower())
+            part = self.parts.get(part_name)
             if part is None:
                 raise ExecutionError(f"Unknown table or alias {column.table!r}")
-            return _lookup_in_row(part, column.column, self.maps[table_name])
+            return _lookup_in_row(part, column.column, self.maps[part_name])
         key = column.column.lower()
         for part_name, part in self.parts.items():
             canonical = self.maps[part_name].get(key)
             if canonical is not None:
                 return part[canonical]
         raise ExecutionError(f"Unknown column {column.column!r}")
+
+
+def _qualify(aliases: Dict[str, str], table: str, alias: Optional[str]) -> str:
+    """Register a table's qualifiers and return its lowercase effective name.
+
+    A qualifier keeps the first table it named (``setdefault``), so in
+    ``FROM emp AS T1 JOIN emp AS T2`` the bare table name ``emp`` reads T1.
+    """
+    effective = (alias or table).lower()
+    aliases.setdefault(effective, effective)
+    aliases.setdefault(table.lower(), effective)
+    return effective
 
 
 def _lookup_in_row(
@@ -167,13 +183,10 @@ class DVQExecutor:
                 database=database.name,
             )
         aliases: Dict[str, str] = {}
-        if query.table_alias:
-            aliases[query.table_alias.lower()] = query.table
         primary = database.table(query.table)
-        maps = {primary.name.lower(): primary.schema.lower_map()}
-        contexts = [
-            _RowContext({primary.name.lower(): row}, aliases, maps) for row in primary.rows
-        ]
+        primary_name = _qualify(aliases, primary.name, query.table_alias)
+        maps = {primary_name: primary.schema.lower_map()}
+        contexts = [_RowContext({primary_name: row}, aliases, maps) for row in primary.rows]
         for join in query.joins:
             if not database.has_table(join.table):
                 raise ExecutionError(
@@ -181,13 +194,12 @@ class DVQExecutor:
                     query=query,
                     database=database.name,
                 )
-            if join.alias:
-                aliases[join.alias.lower()] = join.table
             joined = database.table(join.table)
+            joined_name = _qualify(aliases, joined.name, join.alias)
             maps = dict(maps)
-            maps[joined.name.lower()] = joined.schema.lower_map()
+            maps[joined_name] = joined.schema.lower_map()
             contexts = self._join(
-                contexts, joined.rows, joined.name.lower(), join.left, join.right, aliases, maps
+                contexts, joined.rows, joined_name, join.left, join.right, aliases, maps
             )
         self._validate_columns(query, contexts, database)
         return contexts

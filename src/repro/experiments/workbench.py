@@ -55,10 +55,6 @@ class WorkbenchConfig:
             :attr:`~repro.evaluation.evaluator.EvaluationRun.execution_rate`;
             ``None`` (default) skips the execution check, keeping runs
             identical to the historical behaviour.
-        optimize_plans: run the plan optimizer when the columnar engine is
-            used (prepared GRED pipelines and evaluation checks alike).  On
-            by default; results are identical either way — this is the
-            optimizer-ablation switch.
         max_repair_rounds: prepare GRED with the execution-guided repair
             loop enabled for this many rounds (``0`` keeps the historical
             pipeline).  Uses ``execution_backend`` (falling back to the
@@ -75,7 +71,6 @@ class WorkbenchConfig:
     max_workers: int = 1
     llm_cache: bool = True
     execution_backend: Optional[str] = None
-    optimize_plans: bool = True
     max_repair_rounds: int = 0
     index: IndexConfig = field(default_factory=IndexConfig)
 
@@ -146,7 +141,6 @@ class Workbench:
             use_llm_cache=self.config.llm_cache,
             max_repair_rounds=self.config.max_repair_rounds,
             execution_backend=self.config.execution_backend or "columnar",
-            optimize_plans=self.config.optimize_plans,
             index=self.config.index,
         )
 
@@ -172,7 +166,6 @@ class Workbench:
             top_k=self.config.gred_top_k,
             max_repair_rounds=max_repair_rounds,
             execution_backend=self.config.execution_backend or "columnar",
-            optimize_plans=self.config.optimize_plans,
             use_debugger=use_debugger,
             use_llm_cache=self.config.llm_cache,
         )
@@ -206,7 +199,6 @@ class Workbench:
                 backend=PARTITIONED,
                 num_partitions=num_partitions,
                 nprobe=nprobe,
-                search_workers=self.config.max_workers,
             )
         ).prepare(train)
 
@@ -257,7 +249,6 @@ class Workbench:
             limit=self.config.evaluation_limit,
             max_workers=self.config.max_workers,
             execution_backend=backend,
-            optimize_plans=self.config.optimize_plans,
         )
         (baseline_name, baseline), (repaired_name, repaired) = variants.items()
         dataset = self.suite.variant(kind)
@@ -287,7 +278,6 @@ class Workbench:
             limit=self.config.evaluation_limit,
             max_workers=self.config.max_workers,
             execution_backend=self.config.execution_backend,
-            optimize_plans=self.config.optimize_plans,
         )
         return evaluator.evaluate(model, dataset, model_name=model_name)
 

@@ -8,8 +8,7 @@ The subsystem splits retrieval into an embedding boundary (owned by
   matrix multiplication (the historical behaviour);
 * :class:`PartitionedIndex` — IVF-style coarse quantisation: seeded k-means
   centroids partition the library and each query probes only the ``nprobe``
-  most similar partitions, fanned out across
-  :class:`~repro.runtime.runner.BatchRunner` workers.
+  most similar partitions.
 
 :class:`IndexConfig` selects and tunes the backend (:func:`build_index` is the
 factory), and :mod:`repro.index.snapshot` persists any index to disk as
@@ -45,7 +44,6 @@ def build_index(config: IndexConfig) -> VectorIndex:
         return PartitionedIndex(
             num_partitions=config.num_partitions,
             nprobe=config.nprobe,
-            search_workers=config.search_workers,
         )
     raise ValueError(
         f"Unknown index backend {config.backend!r} (expected {EXACT!r} or {PARTITIONED!r})"

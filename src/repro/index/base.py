@@ -50,9 +50,6 @@ class IndexConfig:
         nprobe: how many partitions each query scans.  Larger values trade
             throughput for recall; ``nprobe == num_partitions`` degenerates
             to exact search.
-        search_workers: fan partition scoring out across this many
-            :class:`~repro.runtime.runner.BatchRunner` workers (``1`` =
-            serial; results are identical at any worker count).
         snapshot_path: when set, retrieval libraries are persisted here after
             preparation and reloaded on the next run instead of re-embedding
             the corpus (see :meth:`repro.core.retriever.GREDRetriever.prepare`).
@@ -61,7 +58,6 @@ class IndexConfig:
     backend: str = EXACT
     num_partitions: int = 0
     nprobe: int = 8
-    search_workers: int = 1
     snapshot_path: Optional[str] = None
 
 

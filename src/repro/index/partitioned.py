@@ -3,10 +3,11 @@
 The library is coarsely quantised with spherical k-means: every vector is
 assigned to its most similar centroid, and a query only scores the
 ``nprobe`` partitions whose centroids it is closest to — a scan of roughly
-``nprobe / num_partitions`` of the library instead of all of it.  Partition
-scoring is fanned out across :class:`~repro.runtime.runner.BatchRunner`
-workers; per-partition candidates are merged with the same deterministic
-tie-break as the exact backend, so results are identical at any worker count.
+``nprobe / num_partitions`` of the library instead of all of it.  Partitions
+are scored one after another on the calling thread (partition scoring is
+GIL-bound Python, so a thread fan-out measured slower than this loop), and
+per-partition candidates are merged with the same deterministic tie-break as
+the exact backend.
 
 Entries added after the last training round land in an *unpartitioned tail*
 that every query scans exactly; the index retrains (one seeded k-means over
@@ -16,15 +17,12 @@ rows, keeping incremental adds cheap without letting recall decay.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.index.base import PARTITIONED, SearchHit, resolve_partition_count, select_top_k
 from repro.index.exact import ExactIndex
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.runtime.runner import BatchRunner
 
 
 class PartitionedIndex(ExactIndex):
@@ -34,7 +32,6 @@ class PartitionedIndex(ExactIndex):
         num_partitions: partition count (``0`` = ``round(sqrt(n))`` at train
             time).
         nprobe: partitions scanned per query; clamped to the partition count.
-        search_workers: ``BatchRunner`` workers for partition scoring.
         seed: k-means seed (centroid init is deterministic given the library).
         kmeans_iterations: Lloyd iteration cap (stops early on convergence).
         retrain_growth: retrain when the unpartitioned tail exceeds this
@@ -47,7 +44,6 @@ class PartitionedIndex(ExactIndex):
         self,
         num_partitions: int = 0,
         nprobe: int = 8,
-        search_workers: int = 1,
         seed: int = 13,
         kmeans_iterations: int = 8,
         retrain_growth: float = 0.5,
@@ -60,12 +56,6 @@ class PartitionedIndex(ExactIndex):
         self.seed = seed
         self.kmeans_iterations = kmeans_iterations
         self.retrain_growth = retrain_growth
-        # deferred: repro.runtime's package init reaches back into
-        # repro.embeddings, which would close an import cycle at module scope
-        from repro.runtime.runner import BatchRunner
-
-        self._runner: "BatchRunner" = BatchRunner(max_workers=search_workers)
-        self._serial_runner: "BatchRunner" = BatchRunner(max_workers=1)
         self._centroids: Optional[np.ndarray] = None
         self._partition_rows: List[np.ndarray] = []  # global row ids per partition
         self._partition_matrices: List[np.ndarray] = []
@@ -172,30 +162,15 @@ class PartitionedIndex(ExactIndex):
             for partition in partitions:
                 by_partition.setdefault(int(partition), []).append(query_index)
 
-        def score_partition(partition: int) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-            """Local top-K candidates of one partition for the queries probing it."""
+        candidates: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(len(queries))]
+        # local top-K candidates of each probed partition, in partition order
+        for partition in sorted(by_partition):
             query_indices = by_partition[partition]
             local = mats[partition] @ queries[query_indices].T  # (rows, queries)
-            out = []
             for column, query_index in enumerate(query_indices):
                 scores = local[:, column]
                 picks = select_top_k(scores, part_keys[partition], top_k)
-                out.append((query_index, rows[partition][picks], scores[picks]))
-            return out
-
-        tasks = sorted(by_partition)
-        # fan out only for query batches: a single-query probe is a handful of
-        # small matmuls, not worth a fresh thread pool per call on the
-        # per-example pipeline hot path (results are identical either way)
-        runner = self._runner if len(queries) > 1 else self._serial_runner
-        partition_results = runner.map(tasks, score_partition)
-
-        candidates: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(len(queries))]
-        # input order of `tasks` is preserved by the runner, so the merge is
-        # deterministic regardless of worker count
-        for partition_result in partition_results:
-            for query_index, global_rows, scores in partition_result:
-                candidates[query_index].append((global_rows, scores))
+                candidates[query_index].append((rows[partition][picks], scores[picks]))
         if trained < len(keys):  # the unpartitioned tail, scanned exactly
             tail_rows = np.arange(trained, len(keys))
             tail_keys = keys[trained:]
@@ -257,11 +232,10 @@ class PartitionedIndex(ExactIndex):
             return state
 
     @classmethod
-    def from_state(cls, state: Dict[str, Any], search_workers: int = 1) -> "PartitionedIndex":
+    def from_state(cls, state: Dict[str, Any]) -> "PartitionedIndex":
         index = cls(
             num_partitions=int(state.get("num_partitions", 0)),
             nprobe=int(state.get("nprobe", 8)),
-            search_workers=search_workers,
             seed=int(state.get("seed", 13)),
             kmeans_iterations=int(state.get("kmeans_iterations", 8)),
             retrain_growth=float(state.get("retrain_growth", 0.5)),

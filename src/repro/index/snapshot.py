@@ -96,7 +96,6 @@ def save_index(
 def load_index(
     path: str,
     codec: Optional[PayloadCodec] = None,
-    search_workers: int = 1,
 ) -> Tuple[VectorIndex, List[str], Dict[str, Any]]:
     """Load a snapshot, returning ``(index, texts, caller metadata)``."""
     codec = codec or JsonPayloadCodec()
@@ -140,7 +139,7 @@ def load_index(
     if backend == EXACT:
         index: VectorIndex = ExactIndex.from_state(state)
     elif backend == PARTITIONED:
-        index = PartitionedIndex.from_state(state, search_workers=search_workers)
+        index = PartitionedIndex.from_state(state)
     else:
         raise SnapshotError(f"Unknown index backend {backend!r} in {target}")
     return index, texts, header.get("meta", {})

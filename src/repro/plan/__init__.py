@@ -1,6 +1,6 @@
 """Logical query plans: one IR between the DVQ AST and every execution engine.
 
-The subpackage has three layers:
+The subpackage has five layers:
 
 * :mod:`repro.plan.nodes` — the immutable plan IR (Scan / Join / Filter /
   Bin / Aggregate / Project / Sort / Limit) plus the resolved-column and
@@ -8,12 +8,12 @@ The subpackage has three layers:
 * :mod:`repro.plan.planner` — :func:`plan_query`, lowering a parsed
   :class:`~repro.dvq.nodes.DVQuery` to the canonical plan with all schema
   resolution (and its interpreter-compatibility quirks) done once;
-* :mod:`repro.plan.optimizer` — :func:`optimize` with the rule set in
-  :class:`OptimizerConfig` (constant folding incl. the null sentinel,
-  predicate pushdown, hash-join selection, projection pruning), plus the
-  cost-based rules — join-order enumeration, hash-build-side selection,
-  filter-cascade ordering — driven by :class:`~repro.plan.cost.CostModel`
-  over the engine statistics in :mod:`repro.database.statistics`;
+* :mod:`repro.plan.optimizer` — :func:`optimize`, which applies predicate
+  pushdown (single-table filter conjuncts move below the joins);
+* :mod:`repro.plan.cost` — :class:`~repro.plan.cost.CostModel`, cardinality
+  and cost estimates over the table statistics in
+  :mod:`repro.database.statistics`, consumed by the AQP rewrite and
+  ``explain(statistics=...)``;
 * :mod:`repro.plan.sampling` — the AQP rewrite: eligible aggregate plans run
   over a :class:`~repro.plan.nodes.Sample` of the largest table with
   post-execution scale-up and CLT error bounds.
@@ -30,8 +30,6 @@ see ``examples/plan_explain.py``.
 # planner, whose executor imports transitively load repro.executor.columnar
 # (which needs repro.plan.nodes / repro.plan.optimizer mid-import)
 from repro.plan.nodes import (
-    HASH,
-    NESTED_LOOP,
     Aggregate,
     AggregateOutput,
     Bin,
@@ -40,7 +38,6 @@ from repro.plan.nodes import (
     ColumnOutput,
     Comparison,
     Connective,
-    ConstPredicate,
     Filter,
     GroupKey,
     Join,
@@ -58,18 +55,7 @@ from repro.plan.nodes import (
     output_node,
 )
 from repro.plan.cost import CostModel
-from repro.plan.optimizer import (
-    DEFAULT_OPTIMIZER,
-    OptimizerConfig,
-    fold_predicate,
-    optimize,
-    order_filter_cascades,
-    prune_projections,
-    push_down_predicates,
-    reorder_joins,
-    select_build_sides,
-    select_hash_joins,
-)
+from repro.plan.optimizer import optimize, push_down_predicates
 from repro.plan.sampling import (
     ApproximationInfo,
     SamplingConfig,
@@ -88,16 +74,11 @@ __all__ = [
     "ColumnOutput",
     "Comparison",
     "Connective",
-    "ConstPredicate",
     "CostModel",
-    "DEFAULT_OPTIMIZER",
     "Filter",
     "GroupKey",
-    "HASH",
     "Join",
     "Limit",
-    "NESTED_LOOP",
-    "OptimizerConfig",
     "OutputExpr",
     "PlanNode",
     "Predicate",
@@ -109,17 +90,11 @@ __all__ = [
     "Scan",
     "Scope",
     "Sort",
-    "fold_predicate",
     "iter_nodes",
     "optimize",
-    "order_filter_cascades",
     "output_labels",
     "output_node",
     "plan_query",
-    "prune_projections",
     "push_down_predicates",
-    "reorder_joins",
     "rewrite_with_sampling",
-    "select_build_sides",
-    "select_hash_joins",
 ]

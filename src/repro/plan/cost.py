@@ -1,4 +1,4 @@
-"""Cardinality estimation and the cost model behind the cost-based rules.
+"""Cardinality estimation and the cost model behind AQP and ``explain``.
 
 :class:`CostModel` turns per-table statistics
 (:meth:`repro.database.table.Table.column_statistics` — row counts, NDV,
@@ -15,19 +15,17 @@ equi-depth histograms, MCVs) into the classic textbook estimates:
   ``|L| * |R| / max(ndv(L.key), ndv(R.key))``, aggregates produce the product
   of group-key NDVs capped by their input.
 * **cost** of a plan node — a unitless row-touch count: linear passes for
-  scans/filters/aggregates, ``build + probe + output`` for hash joins,
-  ``|L| * |R|`` for nested loops, ``n log n`` for sorts.
+  scans/filters/aggregates, ``build + probe + output`` for joins, ``n log n``
+  for sorts.
 
-The optimizer's cost-based rules (:mod:`repro.plan.optimizer` — join-order
-enumeration, hash-build-side selection, filter-cascade ordering) and the AQP
-rewrite (:mod:`repro.plan.sampling`) consume these estimates;
-``plan.explain(statistics=...)`` annotates each node with them.  Statistics
-are fetched lazily through the :class:`~repro.database.table.Table` cache, so
-a query only pays for the columns its plan references.
+The AQP rewrite (:mod:`repro.plan.sampling`) consumes these estimates to
+decline thin groups, and ``plan.explain(statistics=...)`` annotates each node
+with them; the optimizer does not consult them.  Statistics are fetched
+lazily through the :class:`~repro.database.table.Table` cache, so a query
+only pays for the columns its plan references.
 
-Estimates never have to be *right* — every cost-based rewrite is
-semantics-preserving and the differential suite holds the engine to
-bit-identical results regardless — they only have to be deterministic.
+Estimates never have to be *right* — they change no query's exact result —
+they only have to be deterministic.
 """
 
 from __future__ import annotations
@@ -36,13 +34,11 @@ import math
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.plan.nodes import (
-    HASH,
     Aggregate,
     Bin,
     BinKey,
     Comparison,
     Connective,
-    ConstPredicate,
     Filter,
     Join,
     Limit,
@@ -108,8 +104,6 @@ class CostModel:
 
     def selectivity(self, predicate: Predicate) -> float:
         """Estimated fraction of input rows satisfying ``predicate``."""
-        if isinstance(predicate, ConstPredicate):
-            return 1.0 if predicate.value else 0.0
         if isinstance(predicate, Connective):
             left = self.selectivity(predicate.left)
             right = self.selectivity(predicate.right)
@@ -255,12 +249,13 @@ class CostModel:
         if isinstance(node, (Filter, Bin, Project, Aggregate)):
             return self.cost(node.child) + self.cardinality(node.child)
         if isinstance(node, Join):
-            left_rows = self.cardinality(node.left)
-            right_rows = self.cardinality(node.right)
-            children = self.cost(node.left) + self.cost(node.right)
-            if node.strategy == HASH:
-                return children + left_rows + right_rows + self.cardinality(node)
-            return children + left_rows * right_rows
+            return (
+                self.cost(node.left)
+                + self.cost(node.right)
+                + self.cardinality(node.left)
+                + self.cardinality(node.right)
+                + self.cardinality(node)
+            )
         if isinstance(node, (Sort, Limit)):
             rows = self.cardinality(node.child)
             return self.cost(node.child) + rows * math.log2(rows + 2.0)

@@ -14,10 +14,8 @@ The canonical (unoptimized) plan shape is a single spine::
 
     Limit?( Sort?( Aggregate|Project( Bin?( Filter?( Join*( Scan ))))))
 
-Optimizer rules (:mod:`repro.plan.optimizer`) rewrite inside that spine:
-predicate pushdown moves :class:`Filter` nodes below :class:`Join`\\ s,
-projection pruning narrows :attr:`Scan.columns`, and join selection flips
-:attr:`Join.strategy` to ``hash``.
+The optimizer (:mod:`repro.plan.optimizer`) rewrites inside that spine:
+predicate pushdown moves :class:`Filter` nodes below :class:`Join`\\ s.
 """
 
 from __future__ import annotations
@@ -27,11 +25,6 @@ from typing import Iterator, Optional, Tuple, Union
 
 from repro.database.schema import ColumnType
 from repro.dvq.nodes import BinUnit, Condition
-
-#: Join strategies a :class:`Join` node can carry.
-NESTED_LOOP = "nested_loop"
-HASH = "hash"
-
 
 @dataclass(frozen=True)
 class ResolvedColumn:
@@ -107,20 +100,7 @@ class Connective(_PredicateBase):
         return f"( {self.left.render()} {self.op} {self.right.render()} )"
 
 
-@dataclass(frozen=True)
-class ConstPredicate(_PredicateBase):
-    """A predicate folded to a constant by the optimizer."""
-
-    value: bool
-
-    def columns(self) -> Tuple[ResolvedColumn, ...]:
-        return ()
-
-    def render(self) -> str:
-        return "TRUE" if self.value else "FALSE"
-
-
-Predicate = Union[Comparison, Connective, ConstPredicate]
+Predicate = Union[Comparison, Connective]
 
 
 # -- output expressions and group keys --------------------------------------
@@ -189,8 +169,7 @@ class _NodeBase:
         With ``statistics`` — a :class:`~repro.plan.cost.CostModel` or the
         :class:`~repro.database.database.Database` to build one from — every
         node is annotated with its estimated output cardinality and
-        cumulative cost, making the optimizer's cost-based decisions
-        (join order, build side, filter ordering, sampling) inspectable.
+        cumulative cost — the estimates the AQP rewrite decides on.
         """
         model = None
         if statistics is not None:
@@ -219,8 +198,8 @@ class _NodeBase:
 class Scan(_NodeBase):
     """Materialise the listed columns of one base table.
 
-    ``columns`` holds exact-casing schema names; the planner lists every
-    column and projection pruning narrows it to the referenced subset.
+    ``columns`` holds exact-casing schema names: the planner lists every
+    column, and the engine gathers only the ones an operator reads.
     """
 
     table: str
@@ -237,39 +216,22 @@ class Join(_NodeBase):
     """Equi-join of the plan so far (left) with one base table (right).
 
     ``left_key`` / ``right_key`` keep the ON clause's textual order for SQL
-    rendering; ``build_key`` is planner metadata recording which of the two
-    resolves into the right (newly joined) subtree — ``"right"`` for a
-    well-formed clause, ``"left"`` when the sides were written swapped,
-    ``None`` for degenerate clauses — used by the optimizer's hash-join
-    selection (degenerate joins stay nested-loop).  ``build_side`` records
-    which *input* the cost-based optimizer chose to build the join table on:
-    ``"right"`` (the historical default, matching the interpreter's emit
-    order) or ``"left"`` when the accumulated left input is estimated
-    smaller; the engine restores the canonical left-major emit order after a
-    flipped build, so the choice is invisible in results.  The engine itself
-    re-derives the sides from the batches at run time, mirroring the
-    interpreter's name-based fallback lookup; key equality is Python ``==``
-    with NULL keys never matching — SQL join semantics, shared by every
-    engine.
+    rendering.  The engine re-derives the probe and build sides from the
+    batches at run time, mirroring the interpreter's name-based fallback
+    lookup; key equality is Python ``==`` with NULL keys never matching —
+    SQL join semantics, shared by every engine.
     """
 
     left: "PlanNode"
     right: "PlanNode"
     left_key: ResolvedColumn
     right_key: ResolvedColumn
-    build_key: Optional[str] = "right"
-    strategy: str = NESTED_LOOP
-    build_side: str = "right"
 
     def children(self) -> Tuple["PlanNode", ...]:
         return (self.left, self.right)
 
     def describe(self) -> str:
-        build = "" if self.build_side == "right" else f", build={self.build_side}"
-        return (
-            f"Join({self.left_key.render()} = {self.right_key.render()}, "
-            f"strategy={self.strategy}{build})"
-        )
+        return f"Join({self.left_key.render()} = {self.right_key.render()})"
 
 
 @dataclass(frozen=True)

@@ -161,22 +161,15 @@ def plan_query(query: DVQuery, schema: Union[Database, DatabaseSchema]) -> PlanN
     )
     for join, (left_key, right_key) in zip(query.joins, join_keys):
         joined = schema.table(join.table)
-        effective = join.alias or joined.name
-        build_key: Optional[str] = None
-        if right_key.effective.lower() == effective.lower():
-            build_key = "right"
-        elif left_key.effective.lower() == effective.lower():
-            build_key = "left"
         root = Join(
             left=root,
             right=Scan(
                 table=joined.name,
-                effective=effective,
+                effective=join.alias or joined.name,
                 columns=tuple(joined.column_names()),
             ),
             left_key=left_key,
             right_key=right_key,
-            build_key=build_key,
         )
     if predicate is not None:
         root = Filter(child=root, predicate=predicate)

@@ -34,8 +34,8 @@ from vanilla SQL in a few deliberate ways:
   column's declared type: ``substr``/``strftime`` arithmetic for dates, a
   floor-division interval label for numbers.
 
-The compiler expects the canonical plan spine (optimizer rules such as
-predicate pushdown target the columnar engine; SQLite plans its own joins) —
+The compiler expects the canonical plan spine (predicate pushdown targets
+the columnar engine; SQLite plans its own joins) —
 :meth:`DVQToSQLCompiler.compile` always lowers the unoptimized plan.
 """
 
@@ -55,7 +55,6 @@ from repro.plan.nodes import (
     BinKey,
     BinOutput,
     Comparison,
-    ConstPredicate,
     Filter,
     Join,
     Limit,
@@ -292,8 +291,6 @@ class DVQToSQLCompiler:
     def _predicate_sql(self, predicate: Predicate, params: List[object]) -> str:
         if isinstance(predicate, Comparison):
             return self._condition_sql(predicate.column, predicate.condition, params)
-        if isinstance(predicate, ConstPredicate):
-            return "1" if predicate.value else "0"
         left = self._predicate_sql(predicate.left, params)
         right = self._predicate_sql(predicate.right, params)
         # the plan's predicate tree is left-associative by construction

@@ -9,7 +9,7 @@ The subsystem has four layers, composable but usable alone:
 * :mod:`repro.workload.generator` — :class:`WorkloadGenerator`, a
   statistics-driven extension of the portable-subset DVQ generator;
 * :mod:`repro.workload.fuzz` / :mod:`repro.workload.minimize` — the
-  differential fuzzing harness over the engine x optimizer matrix with
+  differential fuzzing harness over the engine matrix with
   automatic delta-debugging of failing queries.
 """
 

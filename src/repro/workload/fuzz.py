@@ -1,4 +1,4 @@
-"""Scaled differential fuzzing of the engine x optimizer matrix.
+"""Scaled differential fuzzing of the engine matrix.
 
 :class:`DifferentialFuzzer` streams seeded generated DVQs through every
 execution engine and asserts the portable-subset contract: identical
@@ -39,13 +39,15 @@ from repro.workload.minimize import (
 
 
 def default_engine_matrix() -> Dict[str, object]:
-    """The full engine x optimizer matrix, interpreter excluded (it is the oracle)."""
+    """The engine matrix, interpreter excluded (it is the oracle).
+
+    ``columnar`` is the default vectorized engine and ``columnar-python`` the
+    same plans through the per-value scalar kernels.
+    """
     return {
         "sqlite": SQLiteBackend(),
-        "columnar-cbo": ColumnarBackend(optimize=True),
-        "columnar": ColumnarBackend(optimize=True, cost_based=False),
-        "columnar-noopt": ColumnarBackend(optimize=False),
-        "columnar-python": ColumnarBackend(optimize=True, vectorize=False),
+        "columnar": ColumnarBackend(),
+        "columnar-python": ColumnarBackend(vectorize=False),
     }
 
 

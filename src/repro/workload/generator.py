@@ -6,9 +6,10 @@ scale needs:
 
 * **join-subgraph walks** — instead of a single foreign-key hop, the
   generator walks the schema's join graph up to ``max_joins`` edges, in
-  either FK direction, rejecting steps whose estimated nested-loop cost
+  either FK direction, rejecting steps whose estimated row-pair count
   (``|intermediate| x |new table|``) exceeds ``max_join_cost`` — the knob
-  that keeps the un-optimized ablation engine inside a fuzz time budget;
+  that fixes which joins a seed may draw, and so bounds the joined rows the
+  per-row engines (the interpreter oracle, ``columnar-python``) pay for;
 * **histogram-driven literals** — predicate literals come from each column's
   equi-depth histogram edges and most-common values
   (:mod:`repro.workload.stats`) instead of a full column scan per condition,
@@ -30,7 +31,6 @@ import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.database.database import Database
-from repro.database.schema import ColumnType
 from repro.dvq.generate import RandomDVQGenerator, _ScopedColumn
 from repro.dvq.nodes import ColumnRef, JoinClause
 from repro.workload.stats import (
@@ -49,7 +49,8 @@ class WorkloadGenerator(RandomDVQGenerator):
         max_joins: maximum join-walk length in edges.
         max_join_cost: reject a join step when
             ``estimated_intermediate_rows * new_table_rows`` exceeds this —
-            an upper bound on the nested-loop work the slowest engine pays.
+            an upper bound on the rows the step can produce, and on the row
+            pairs a nested-loop plan (which SQLite may choose) examines.
         group_key_ndv_limit: text/boolean columns with more distinct values
             than this are not used as grouping keys.
         in_list_limit: maximum number of distinct literals offered to IN.

@@ -13,9 +13,9 @@ keys on.
 
 :func:`tiered_row_counts` assigns fact tables orders of magnitude more rows
 than their dimensions (the shape real star workloads have, and the shape
-that keeps the nested-loop ablation engine inside a fuzz budget), and
-:func:`build_workload_database` glues schema, tiers and data generation into
-one seeded call.
+that keeps join results, and so the per-row engines, inside a fuzz budget),
+and :func:`build_workload_database` glues schema, tiers and data generation
+into one seeded call.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Re-export shim: the statistics collectors moved into the engine.
 
 The workload generator was the first consumer of per-column statistics; the
-cost-based optimizer is the second, so the dataclasses and collectors now
+cost model is the second, so the dataclasses and collectors now
 live in :mod:`repro.database.statistics` (next to the column stores they
 summarise) and this module keeps the historical import path working.
 

@@ -1,7 +1,7 @@
 """Tests for the pluggable vector-index subsystem (`repro.index`).
 
 Covers the backend contract (exact == brute force, partitioned == exact at
-full probe, determinism across worker counts), the deterministic top-K
+full probe), the deterministic top-K
 tie-break, concurrent add/search consistency through a shared store, and
 snapshot persistence round-trips at both the store and the retriever level.
 """
@@ -132,21 +132,6 @@ class TestPartitionedIndex:
         for left, right in zip(expected, actual):
             assert [(h.key, h.payload) for h in left] == [(h.key, h.payload) for h in right]
             assert np.allclose([h.score for h in left], [h.score for h in right])
-
-    def test_identical_results_across_worker_counts(self):
-        queries = None
-        results = []
-        for workers in (1, 4):
-            rng = np.random.default_rng(31)
-            index, rows, _ = self._filled(
-                rng, num_partitions=10, nprobe=3, search_workers=workers
-            )
-            queries = unit_rows(np.random.default_rng(99), 11, rows.shape[1])
-            results.append(index.search_matrix(queries, 6))
-        serial, threaded = results
-        assert [[(h.key, h.score) for h in hits] for hits in serial] == [
-            [(h.key, h.score) for h in hits] for hits in threaded
-        ]
 
     def test_small_library_falls_back_to_exact_scan(self):
         rng = np.random.default_rng(7)

@@ -12,8 +12,8 @@ groups, single-group skew and top-k cuts on a tied pivot:
   tuples, numbered first-seen;
 * grouped aggregates (:func:`grouped_aggregate_vector`) vs
   :func:`apply_aggregate` folded over each group's members in row order;
-* equi-join indices (``_vector_join_indices``) vs ``_scalar_join_indices``,
-  hashed and nested-loop;
+* equi-join indices (``_vector_join_indices``) and the hashed fallback
+  (``_scalar_join_indices``) vs a nested-loop reference join;
 * sort codes + :func:`sort_order` vs a stable ``sorted`` on the scalar keys;
 * :func:`topk_order` vs the head of that scalar sort.
 """
@@ -260,11 +260,25 @@ class TestGroupedAggregateKernel:
 # -- equi-join indices -------------------------------------------------------
 
 
+def nested_loop_join_indices(probe, build):
+    """The reference equi-join: every (probe, build) pair, probe-major; NULL
+    keys never match (SQL semantics)."""
+    left, right = [], []
+    for index, probe_value in enumerate(probe):
+        if probe_value is None:
+            continue
+        for build_index, build_value in enumerate(build):
+            if build_value is not None and probe_value == build_value:
+                left.append(index)
+                right.append(build_index)
+    return np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
+
+
 def assert_join_matches_scalar(probe, build):
-    actual = _vector_join_indices(probe, build)
-    assert actual is not None
-    for hashed in (True, False):
-        expected = _scalar_join_indices(probe.objects, build.objects, hashed)
+    expected = nested_loop_join_indices(probe.objects, build.objects)
+    vectorized = _vector_join_indices(probe, build)
+    assert vectorized is not None
+    for actual in (vectorized, _scalar_join_indices(probe.objects, build.objects)):
         np.testing.assert_array_equal(actual[0], expected[0])
         np.testing.assert_array_equal(actual[1], expected[1])
 
@@ -322,6 +336,20 @@ class TestJoinIndices:
         assert _vector_join_indices(nan_keys, plain) is None
         assert _vector_join_indices(plain, nan_keys) is None
         assert _vector_join_indices(mixed, plain) is None
+
+    def test_hashed_fallback_matches_the_reference_where_the_kernel_declines(self):
+        rng = random.Random(9)
+        probe, build = (
+            build_typed_column(
+                [rng.choice([None, 1, 2.0, "one", "two", True]) for _ in range(size)]
+            )
+            for size in (120, 90)
+        )
+        assert _vector_join_indices(probe, build) is None
+        expected = nested_loop_join_indices(probe.objects, build.objects)
+        actual = _scalar_join_indices(probe.objects, build.objects)
+        np.testing.assert_array_equal(actual[0], expected[0])
+        np.testing.assert_array_equal(actual[1], expected[1])
 
 
 # -- sort codes and sort / top-k order ---------------------------------------

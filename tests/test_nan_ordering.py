@@ -105,11 +105,8 @@ class TestValueRanks:
     "engine_factory",
     [
         pytest.param(InterpreterBackend, id="interpreter"),
-        pytest.param(lambda: ColumnarBackend(optimize=True), id="columnar"),
-        pytest.param(
-            lambda: ColumnarBackend(optimize=True, vectorize=False),
-            id="columnar-python",
-        ),
+        pytest.param(ColumnarBackend, id="columnar"),
+        pytest.param(lambda: ColumnarBackend(vectorize=False), id="columnar-python"),
     ],
 )
 class TestEngineOrderByWithNaN:

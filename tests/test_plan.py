@@ -1,4 +1,4 @@
-"""Unit tests for the logical-plan IR, planner, optimizer and columnar engine."""
+"""Unit tests for the logical-plan IR, planner, pushdown and columnar engine."""
 
 from __future__ import annotations
 
@@ -9,25 +9,23 @@ from repro.database.schema import ColumnType, build_schema
 from repro.dvq import parse_dvq
 from repro.executor import (
     ColumnarBackend,
+    ColumnarEngine,
+    ExecutionResult,
     InterpreterBackend,
+    normalize_result,
     resolve_backend,
 )
 from repro.plan import (
-    Comparison,
-    Connective,
-    ConstPredicate,
     Filter,
     Join,
-    OptimizerConfig,
     Project,
     Scan,
-    fold_predicate,
     iter_nodes,
     optimize,
     output_labels,
     plan_query,
 )
-from repro.plan.nodes import HASH, NESTED_LOOP
+from repro.sql import SQLiteBackend
 
 
 def _schema():
@@ -105,7 +103,7 @@ class TestPlanner:
         assert "Limit(2)" in text
         assert "Sort(#1 DESC)" in text
         assert "Aggregate(keys=[T2.DEPT_NAME]" in text
-        assert "Join(T1.DEPT_ID = T2.DEPT_ID, strategy=nested_loop)" in text
+        assert "Join(T1.DEPT_ID = T2.DEPT_ID)" in text
         assert "Scan(employees AS T1" in text
 
     def test_resolution_is_case_insensitive_and_alias_aware(self, database):
@@ -130,19 +128,6 @@ class TestPlanner:
         plan = plan_query(parse_dvq(JOIN_QUERY), database.schema)
         assert output_labels(plan) == ("DEPT_NAME", "AVG(SALARY)")
 
-    def test_swapped_join_sides_detected(self, database):
-        # the ON clause names the new table on the left side
-        plan = plan_query(
-            parse_dvq(
-                "Visualize BAR SELECT DEPT_NAME , COUNT(*) FROM employees "
-                "JOIN departments ON departments.DEPT_ID = employees.DEPT_ID "
-                "GROUP BY DEPT_NAME"
-            ),
-            database.schema,
-        )
-        join = next(node for node in iter_nodes(plan) if isinstance(node, Join))
-        assert join.build_key == "left"
-
     def test_missing_identifiers_fail_with_engine_categories(self, database):
         backend = ColumnarBackend()
         missing_table = backend.explain_failure(
@@ -161,7 +146,7 @@ class TestPlanner:
 class TestOptimizer:
     def test_pushdown_moves_single_table_conjuncts_below_join(self, database):
         plan = plan_query(parse_dvq(JOIN_QUERY), database.schema)
-        optimized = optimize(plan, OptimizerConfig(hash_join=False, pruning=False))
+        optimized = optimize(plan)
         join = next(node for node in iter_nodes(optimized) if isinstance(node, Join))
         assert isinstance(join.left, Filter), optimized.explain()
         assert "SALARY > 50" in join.left.predicate.render()
@@ -178,7 +163,7 @@ class TestOptimizer:
             "WHERE SALARY > 50 OR CITY = 'Zurich' GROUP BY DEPT_NAME"
         )
         plan = plan_query(query, database.schema)
-        optimized = optimize(plan, OptimizerConfig())
+        optimized = optimize(plan)
         filter_above_join = next(
             node
             for node in iter_nodes(optimized)
@@ -186,61 +171,18 @@ class TestOptimizer:
         )
         assert "OR" in filter_above_join.predicate.render()
 
-    def test_pruning_narrows_scans_but_keeps_join_keys(self, database):
-        plan = plan_query(parse_dvq(JOIN_QUERY), database.schema)
-        optimized = optimize(plan, OptimizerConfig())
-        scans = {
-            node.effective: node.columns
-            for node in iter_nodes(optimized)
-            if isinstance(node, Scan)
-        }
-        assert scans["T1"] == ("SALARY", "DEPT_ID")
-        assert scans["T2"] == ("DEPT_ID", "DEPT_NAME")
-
-    def test_hash_join_selected_only_with_rule_enabled(self, database):
-        plan = plan_query(parse_dvq(JOIN_QUERY), database.schema)
-
-        def strategies(p):
-            return [node.strategy for node in iter_nodes(p) if isinstance(node, Join)]
-
-        assert strategies(plan) == [NESTED_LOOP]
-        assert strategies(optimize(plan, OptimizerConfig())) == [HASH]
-        assert strategies(optimize(plan, OptimizerConfig(hash_join=False))) == [NESTED_LOOP]
-
-    def test_null_sentinel_folds_to_explicit_null_test(self, database):
-        plan = plan_query(
-            parse_dvq("Visualize BAR SELECT NAME , SALARY FROM employees WHERE NAME = 'null'"),
-            database.schema,
+    def test_pushdown_keeps_self_join_aliases_apart(self, database):
+        # both scans read ``employees``: a WHERE on T2 lands on T2's scan only
+        query = parse_dvq(
+            "Visualize BAR SELECT T1.NAME , T1.SALARY FROM employees AS T1 "
+            "JOIN employees AS T2 ON T1.DEPT_ID = T2.EMP_ID WHERE T2.SALARY > 100"
         )
-        filter_node = next(node for node in iter_nodes(plan) if isinstance(node, Filter))
-        folded = fold_predicate(filter_node.predicate)
-        assert isinstance(folded, Connective) and folded.op == "OR"
-        assert folded.left.condition.operator == "IS NULL"
-
-    def test_impossible_comparisons_fold_to_false(self, database):
-        plan = plan_query(
-            parse_dvq("Visualize BAR SELECT NAME , SALARY FROM employees WHERE SALARY > 'null'"),
-            database.schema,
-        )
-        filter_node = next(node for node in iter_nodes(plan) if isinstance(node, Filter))
-        # "> 'null'" is a string comparison, not a NULL literal: stays put
-        assert not isinstance(fold_predicate(filter_node.predicate), ConstPredicate)
-        sentinel = Comparison(
-            column=filter_node.predicate.column,
-            condition=filter_node.predicate.condition.__class__(
-                column=filter_node.predicate.condition.column, operator=">", value=None
-            ),
-        )
-        assert fold_predicate(sentinel) == ConstPredicate(False)
-
-    def test_rule_names_reflect_toggles(self):
-        assert OptimizerConfig().rule_names() == (
-            "fold_constants", "pushdown", "join_order", "build_side",
-            "filter_order", "hash_join", "pruning",
-        )
-        assert OptimizerConfig(pushdown=False, join_order=False).rule_names() == (
-            "fold_constants", "build_side", "filter_order", "hash_join", "pruning",
-        )
+        optimized = optimize(plan_query(query, database.schema))
+        join = next(node for node in iter_nodes(optimized) if isinstance(node, Join))
+        assert isinstance(join.left, Scan), optimized.explain()
+        assert isinstance(join.right, Filter), optimized.explain()
+        assert join.right.child.effective == "T2"
+        assert "T2.SALARY > 100" in join.right.predicate.render()
 
 
 #: Edge-case queries the engines must agree on beyond the random corpus.
@@ -255,6 +197,8 @@ EDGE_QUERIES = [
     "Visualize BAR SELECT SALARY , COUNT(SALARY) FROM employees BIN SALARY BY INTERVAL",
     "Visualize BAR SELECT NAME , SALARY FROM employees WHERE NAME = 'null'",
     "Visualize BAR SELECT NAME , SALARY FROM employees WHERE NAME != 'null'",
+    # a NULL literal never compares true; the engines evaluate it natively
+    "Visualize BAR SELECT NAME , SALARY FROM employees WHERE SALARY > null OR NAME = 'Bob'",
     "Visualize BAR SELECT NAME , SALARY FROM employees WHERE NAME = 'ADA'",
     "Visualize BAR SELECT NAME , SALARY FROM employees "
     "WHERE NAME IN ( 'Ada' , 'eve' ) OR SALARY BETWEEN 70 AND 90",
@@ -271,38 +215,63 @@ EDGE_QUERIES = [
     "Visualize BAR SELECT DEPT_NAME , MAX(SALARY) FROM employees "
     "JOIN departments ON departments.DEPT_ID = employees.DEPT_ID "
     "WHERE CITY = 'Zurich' GROUP BY DEPT_NAME LIMIT 1",
+    # aliased self-joins: each alias reads its own row of ``employees``
+    "Visualize BAR SELECT T1.NAME , T2.SALARY FROM employees AS T1 "
+    "JOIN employees AS T2 ON T1.DEPT_ID = T2.EMP_ID",
+    "Visualize BAR SELECT T2.NAME , COUNT(*) FROM employees AS T1 "
+    "JOIN employees AS T2 ON T1.DEPT_ID = T2.EMP_ID WHERE T1.SALARY > 90 GROUP BY T2.NAME",
 ]
 
-#: Optimizer settings the engine matrix sweeps: everything, nothing, and each
-#: rule individually disabled.
-OPTIMIZER_VARIANTS = {
-    "all": OptimizerConfig(),
-    "no-pushdown": OptimizerConfig(pushdown=False),
-    "no-pruning": OptimizerConfig(pruning=False),
-    "no-hash-join": OptimizerConfig(hash_join=False),
-    "no-folding": OptimizerConfig(fold_constants=False),
+#: The fuzz matrix's engines (``repro.workload.fuzz.default_engine_matrix``);
+#: fresh instances per test keep SQLite connection caches isolated.
+ENGINE_FACTORIES = {
+    "columnar": ColumnarBackend,
+    "columnar-python": lambda: ColumnarBackend(vectorize=False),
+    "sqlite": SQLiteBackend,
 }
+
+
+class TestPushdownOnEdgeCases:
+    @pytest.mark.parametrize("query_text", EDGE_QUERIES)
+    def test_pushdown_is_idempotent_and_keeps_the_outputs(self, database, query_text):
+        plan = plan_query(parse_dvq(query_text), database.schema)
+        optimized = optimize(plan)
+        assert optimize(optimized) == optimized
+        assert output_labels(optimized) == output_labels(plan)
+        if not any(isinstance(node, Join) for node in iter_nodes(plan)):
+            assert optimized == plan  # nothing to push below
+        # a filter sitting on a scan reads that scan's table alone
+        for node in iter_nodes(optimized):
+            if isinstance(node, Filter) and isinstance(node.child, Scan):
+                effectives = {column.effective for column in node.predicate.columns()}
+                assert effectives <= {node.child.effective}, optimized.explain()
 
 
 class TestColumnarEngine:
     @pytest.mark.parametrize("query_text", EDGE_QUERIES)
     @pytest.mark.parametrize(
-        "config", OPTIMIZER_VARIANTS.values(), ids=OPTIMIZER_VARIANTS.keys()
+        "engine_factory", ENGINE_FACTORIES.values(), ids=ENGINE_FACTORIES.keys()
     )
-    def test_matches_interpreter_on_edge_cases(self, database, query_text, config):
+    def test_matches_interpreter_on_edge_cases(self, database, query_text, engine_factory):
         query = parse_dvq(query_text)
         expected = InterpreterBackend().execute(query, database)
-        backend = ColumnarBackend(optimizer_config=config)
-        actual = backend.execute(query, database)
+        actual = engine_factory().execute(query, database)
         assert actual.columns == expected.columns
-        assert actual.rows == expected.rows, backend.plan(query, database).explain()
+        assert actual.rows == expected.rows, query_text
 
     @pytest.mark.parametrize("query_text", EDGE_QUERIES)
-    def test_matches_interpreter_without_optimizer(self, database, query_text):
+    @pytest.mark.parametrize("vectorize", [True, False], ids=["vectorized", "scalar"])
+    def test_matches_interpreter_without_optimizer(self, database, query_text, vectorize):
+        # the canonical plan, without pushdown, straight through the engine
         query = parse_dvq(query_text)
         expected = InterpreterBackend().execute(query, database)
-        actual = ColumnarBackend(optimize=False).execute(query, database)
-        assert actual.rows == expected.rows
+        plan = plan_query(query, database.schema)
+        raw = ExecutionResult(
+            columns=list(output_labels(plan)),
+            rows=ColumnarEngine(vectorize=vectorize).run(plan, database),
+            chart_type=query.chart_type.value,
+        )
+        assert normalize_result(raw, query).rows == expected.rows
 
     def test_empty_filter_result_keeps_columns(self, database):
         query = parse_dvq("Visualize BAR SELECT NAME , SALARY FROM employees WHERE SALARY > 9999")
@@ -316,9 +285,9 @@ class TestColumnarEngine:
         assert ColumnarBackend().execute(query, database).rows == []
         assert InterpreterBackend().execute(query, database).rows == []
 
-    @pytest.mark.parametrize("optimizer_on", [True, False], ids=["opt", "noopt"])
+    @pytest.mark.parametrize("vectorize", [True, False], ids=["vectorized", "scalar"])
     def test_degenerate_join_keys_on_the_new_table_match_interpreter(
-        self, database, optimizer_on
+        self, database, vectorize
     ):
         # both ON keys name the newly joined table: the interpreter skips
         # every row pair (empty join); the engine must not crash
@@ -327,27 +296,24 @@ class TestColumnarEngine:
             "JOIN departments ON departments.DEPT_ID = departments.DEPT_ID "
             "GROUP BY NAME"
         )
-        backend = ColumnarBackend(optimize=optimizer_on)
+        backend = ColumnarBackend(vectorize=vectorize)
         expected = InterpreterBackend().execute(query, database)
         assert backend.execute(query, database).rows == expected.rows == []
         assert backend.explain_failure(query, database).ok
 
-    @pytest.mark.parametrize("optimizer_on", [True, False], ids=["opt", "noopt"])
-    def test_join_keys_on_the_old_table_use_name_based_fallback(
-        self, database, optimizer_on
-    ):
+    @pytest.mark.parametrize("vectorize", [True, False], ids=["vectorized", "scalar"])
+    def test_join_keys_on_the_old_table_use_name_based_fallback(self, database, vectorize):
         # both ON keys resolve into the already-joined table; the interpreter
         # matches the right key by bare column name in the NEW table
         # (employees.DEPT_ID = departments.DEPT_ID here, despite the
-        # qualifier) — the engine must reproduce that, optimizer or not
+        # qualifier) — the engine must reproduce that
         query = parse_dvq(
             "Visualize BAR SELECT DEPT_NAME , COUNT(*) FROM employees "
             "JOIN departments ON employees.DEPT_ID = employees.DEPT_ID "
             "GROUP BY DEPT_NAME ORDER BY DEPT_NAME ASC"
         )
-        backend = ColumnarBackend(optimize=optimizer_on)
         expected = InterpreterBackend().execute(query, database)
-        actual = backend.execute(query, database)
+        actual = ColumnarBackend(vectorize=vectorize).execute(query, database)
         assert actual.rows == expected.rows
         assert len(actual.rows) > 0
 
@@ -366,19 +332,18 @@ class TestBackendRegistration:
     def test_resolve_backend_knows_columnar(self):
         backend = resolve_backend("columnar")
         assert backend.name == "columnar"
-        assert backend.optimize is True
-        assert resolve_backend("columnar", optimize=False).optimize is False
+        assert isinstance(backend, ColumnarBackend)
 
     def test_unknown_backend_names_all_engines(self):
-        # columnar setups are ColumnarBackend arguments (cost_based=False,
-        # vectorize=False, approximate=True), not backend names
+        # columnar setups are ColumnarBackend arguments (vectorize=False,
+        # approximate=True), not backend names
         for name in ("postgres", "columnar-parallel", "columnar-cbo",
                      "columnar-rules", "columnar-python", "columnar-approx"):
             with pytest.raises(ValueError, match="'columnar', 'interpreter' or 'sqlite'"):
                 resolve_backend(name)
 
     def test_instances_pass_through(self):
-        backend = ColumnarBackend(optimize=False)
+        backend = ColumnarBackend(vectorize=False)
         assert resolve_backend(backend) is backend
 
 

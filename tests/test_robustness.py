@@ -6,7 +6,6 @@ from repro.dvq import parse_dvq
 from repro.executor import DVQExecutor
 from repro.robustness import (
     NLQRewriter,
-    RobustnessSuiteBuilder,
     SchemaRenamer,
     VariantKind,
     default_lexicon,

@@ -7,8 +7,6 @@ building blocks.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.database import DataGenerator
@@ -327,8 +325,7 @@ class TestPortableSubsetToggle:
             seed=5, portable_subset=False, corruption_probability=1.0
         )
         interpreter = InterpreterBackend()
-        engines = [SQLiteBackend(), ColumnarBackend(optimize=True),
-                   ColumnarBackend(optimize=False)]
+        engines = [SQLiteBackend(), ColumnarBackend(), ColumnarBackend(vectorize=False)]
         for query in generator.generate_many(database, 25):
             expected = interpreter.explain_failure(query, database)
             for engine in engines:

@@ -160,11 +160,7 @@ class TestNullKeyJoins:
         matrix = default_engine_matrix()
         assert matrix["columnar"].vectorize
         assert not matrix["columnar-python"].vectorize
-        assert matrix["columnar-cbo"].cost_based
-        assert not matrix["columnar"].cost_based
-        assert set(matrix) == {
-            "sqlite", "columnar-cbo", "columnar", "columnar-noopt", "columnar-python",
-        }
+        assert set(matrix) == {"sqlite", "columnar", "columnar-python"}
 
 
 class TestInjectedBugRegression:
@@ -173,9 +169,7 @@ class TestInjectedBugRegression:
         assert not report.ok
         assert report.mismatches
         for mismatch in report.mismatches:
-            assert mismatch.engine in (
-                "columnar-cbo", "columnar", "columnar-noopt", "columnar-python",
-            )
+            assert mismatch.engine in ("columnar", "columnar-python")
             assert mismatch.kind == "rows"
             minimized = parse_dvq(mismatch.minimized_text)
             assert clause_count(minimized) <= 3, mismatch.minimized_text
@@ -220,7 +214,7 @@ class TestMinimizeQuery:
 
     def test_minimizer_reaches_a_fixpoint(self, database, broken_less_than):
         # find a mismatching query, then check minimize is idempotent
-        engine = ColumnarBackend(optimize=True)
+        engine = ColumnarBackend()
         interpreter = InterpreterBackend()
         generator = WorkloadGenerator(seed=0)
         target = None
