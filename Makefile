@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-diff bench bench-index bench-index-check bench-plan bench-plan-check bench-vector bench-vector-check bench-aqp bench-aqp-check bench-sort bench-sort-check bench-summary bench-paper-scale perfbench-check fuzz fuzz-check quickstart lint
+.PHONY: test test-fast test-diff bench bench-index bench-index-check bench-plan bench-plan-check bench-vector bench-vector-check bench-aqp bench-aqp-check bench-sort bench-sort-check bench-summary bench-paper-scale perfbench-check perfbench-smoke fuzz fuzz-check quickstart lint
 
 test:            ## tier-1 suite (tests/ + benchmarks/, fail fast)
 	$(PYTHON) -m pytest -x -q
@@ -56,6 +56,14 @@ bench-paper-scale: ## benchmarks at the paper's full corpus scale (slow)
 
 perfbench-check: ## tests of the end-to-end benchmark's own code (perfbench/; used by CI)
 	$(PYTHON) -m pytest perfbench -q
+
+perfbench-smoke: ## the end-to-end benchmark's output checks: each workload once (~1 min; used by CI)
+	@for workload in gred_rob paper_tables chart_render; do \
+		last=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 20 --trace 0 | tail -n 1); \
+		echo "$$workload: $$last"; \
+		echo "$$last" | $(PYTHON) -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(r["correct"] is not True or r["failed"] != 0)' \
+			|| { echo "perfbench-smoke: $$workload failed its output checks"; exit 1; }; \
+	done
 
 fuzz:            ## at-scale differential fuzz: 10k queries, 12-table snowflake, 120k rows (slow, ~15-20 min)
 	REPRO_FUZZ_QUERIES=10000 REPRO_FUZZ_ROWS=120000 REPRO_FUZZ_TABLES=12 \

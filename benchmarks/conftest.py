@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from repro.executor import ColumnarEngine, ExecutionResult, normalize_result
+from repro.executor import ColumnarEngine, ExecutionResult
 from repro.experiments import Workbench, WorkbenchConfig
 from repro.plan import output_labels, plan_query
 
@@ -78,12 +78,11 @@ class _CanonicalPlanBackend:
 
     def execute(self, query, database) -> ExecutionResult:
         plan = plan_query(query, database.schema)
-        result = ExecutionResult(
+        return ExecutionResult(
             columns=list(output_labels(plan)),
             rows=self._engine.run(plan, database),
             chart_type=query.chart_type.value,
         )
-        return normalize_result(result, query)
 
 
 @pytest.fixture

@@ -7,9 +7,11 @@ top-k-cut through the same columnar engine two ways — scalar
 vectorized (uint64 sort codes + ``argsort`` / ``argpartition``).  The bar:
 vectorized >= 5x over the scalar path.
 
-Every timed query carries a LIMIT on purpose: result normalisation re-sorts
-all *output* rows in Python, so an un-limited 1M-row ORDER BY would measure
-that scalar re-sort, not the engine's kernels.
+Every timed query carries a LIMIT on purpose: on the scalar path, result
+normalisation re-sorts all *output* rows in Python, so an un-limited 1M-row
+ORDER BY would measure that scalar re-sort, not the engine's kernels.  (The
+vectorized engine emits canonical rows itself — one sort over the output
+columns' codes — wherever every output column holds ints or text.)
 
 The correctness half always runs and is the half CI gates on
 (``make bench-sort-check``): the vectorized and scalar engines must return

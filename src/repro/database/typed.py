@@ -49,9 +49,14 @@ class TypedColumn:
             slots hold a placeholder (``0.0`` / ``""``); kernels must never
             let a placeholder escape — consult :attr:`mask`.
         mask: boolean array, ``True`` where the value is NULL.
+        ints_only: ``True`` when every non-null value of a number column is
+            a Python ``int`` (no bool, no float) — objects that are their own
+            canonical values, held exactly by the float64 shadow.  Exact after
+            :meth:`take`; ``False`` is always safe (kernels that need it
+            decline).
     """
 
-    __slots__ = ("kind", "objects", "data", "mask", "_lowered", "_has_nan", "_has_bool")
+    __slots__ = ("kind", "objects", "data", "mask", "ints_only", "_lowered", "_has_nan")
 
     def __init__(
         self,
@@ -61,15 +66,15 @@ class TypedColumn:
         mask: np.ndarray,
         lowered: Optional[np.ndarray] = None,
         has_nan: Optional[bool] = None,
-        has_bool: Optional[bool] = None,
+        ints_only: bool = False,
     ):
         self.kind = kind
         self.objects = objects
         self.data = data
         self.mask = mask
+        self.ints_only = ints_only
         self._lowered = lowered
         self._has_nan = has_nan
-        self._has_bool = has_bool
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -78,13 +83,16 @@ class TypedColumn:
     def lowered(self) -> np.ndarray:
         """Lower-cased shadow of a text column (NOCASE equality / LIKE).
 
-        Built on first use via :func:`np.char.lower` and cached; a concurrent
-        double build is benign (both threads compute the same array).
+        Built on first use with ``str.lower`` per value and cached; a
+        concurrent double build is benign (both threads compute the same
+        array).  NumPy sizes the array from the lowered strings, which may be
+        longer than their sources (``"İ".lower()`` is two code points);
+        :func:`np.char.lower` would keep the source width and truncate them.
         """
         assert self.kind == KIND_TEXT, "lowered is only defined for text columns"
         lowered = self._lowered
         if lowered is None:
-            lowered = np.char.lower(self.data)
+            lowered = np.array([text.lower() for text in self.data.tolist()], dtype=np.str_)
             self._lowered = lowered
         return lowered
 
@@ -104,25 +112,6 @@ class TypedColumn:
                 self._has_nan = False
         return self._has_nan
 
-    @property
-    def has_bool(self) -> bool:
-        """True when a number column may contain ``bool`` values.
-
-        The float64 shadow stores ``True``/``False`` as ``1.0``/``0.0``, so
-        any kernel whose scalar counterpart treats bools differently from
-        numbers (the legacy ORDER BY key sorts them as text) must consult
-        this flag and decline.  Like :attr:`has_nan`, a safe
-        over-approximation after :meth:`take` / :meth:`slice`.
-        """
-        if self._has_bool is None:
-            if self.kind == KIND_NUMBER:
-                self._has_bool = any(
-                    isinstance(value, bool) for value in self.objects.tolist()
-                )
-            else:
-                self._has_bool = False
-        return self._has_bool
-
     def take(self, indices: np.ndarray) -> "TypedColumn":
         """Gather rows by index into a new, aligned :class:`TypedColumn`."""
         return TypedColumn(
@@ -132,7 +121,7 @@ class TypedColumn:
             self.mask[indices],
             lowered=None if self._lowered is None else self._lowered[indices],
             has_nan=self._has_nan,
-            has_bool=self._has_bool,
+            ints_only=self.ints_only,
         )
 
 
@@ -167,16 +156,18 @@ def build_typed_column(values: List[object]) -> TypedColumn:
     mask = np.fromiter((value is None for value in values), np.bool_, count=len(values))
     number = True
     text = True
-    has_bool = False
+    ints_only = True
     for value in values:
         if value is None:
             continue
         if isinstance(value, bool):
             text = False
-            has_bool = True
+            ints_only = False
         elif isinstance(value, (int, float)):
             text = False
-            if isinstance(value, int) and not -_FLOAT_EXACT_INT <= value <= _FLOAT_EXACT_INT:
+            if isinstance(value, float):
+                ints_only = False
+            elif not -_FLOAT_EXACT_INT <= value <= _FLOAT_EXACT_INT:
                 number = False
                 break
         elif isinstance(value, str):
@@ -192,10 +183,10 @@ def build_typed_column(values: List[object]) -> TypedColumn:
         shadow = objects.copy()
         shadow[mask] = 0.0
         data = shadow.astype(np.float64)
-        return TypedColumn(KIND_NUMBER, objects, data, mask, has_bool=has_bool)
+        return TypedColumn(KIND_NUMBER, objects, data, mask, ints_only=ints_only)
     if text:
         shadow = objects.copy()
         shadow[mask] = ""
         data = shadow.astype(np.str_)
-        return TypedColumn(KIND_TEXT, objects, data, mask, has_bool=False)
-    return TypedColumn(KIND_OBJECT, objects, None, mask, has_nan=False, has_bool=False)
+        return TypedColumn(KIND_TEXT, objects, data, mask)
+    return TypedColumn(KIND_OBJECT, objects, None, mask, has_nan=False)

@@ -19,7 +19,8 @@ implemented three times —
 
 ``resolve_backend("columnar" | "interpreter" | "sqlite")`` is the factory
 used by the configuration knobs; :func:`normalize_result` is the
-cross-engine normalisation making every backend return identical results.
+cross-engine normalisation making every backend return identical results
+(the columnar engine emits the same normalised rows itself).
 """
 
 from repro.executor.backend import (

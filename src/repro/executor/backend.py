@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Protocol, Tuple, Union, runtime_checkable
+from typing import List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 from repro.database.database import Database
-from repro.dvq.nodes import DVQuery
+from repro.dvq.nodes import DVQuery, SortDirection
 from repro.executor.errors import ExecutionError
 from repro.executor.executor import DVQExecutor, ExecutionResult
-from repro.executor.ordering import canonical_order
+from repro.executor.ordering import canonical_sorted, order_index
 
 
 #: Stable failure categories shared by every backend.  The differential suite
@@ -175,19 +175,42 @@ def canonical_value(value: object) -> object:
     return value
 
 
+def canonical_rows(
+    rows: Sequence[Tuple[object, ...]],
+    index: Optional[int] = None,
+    descending: bool = False,
+) -> List[Tuple[object, ...]]:
+    """``rows`` with canonical values, in canonical order.
+
+    :func:`canonical_value` on every cell, then
+    :func:`~repro.executor.ordering.canonical_sorted` (ORDER BY output column
+    ``index``, ties in ascending canonical row order).  The one scalar
+    definition behind :func:`normalize_result` and the columnar engine's
+    fallback for the roots and columns its fused kernel declines.
+    """
+    return canonical_sorted(
+        [tuple(canonical_value(value) for value in row) for row in rows],
+        index=index,
+        descending=descending,
+    )
+
+
 def normalize_result(result: ExecutionResult, query: DVQuery) -> ExecutionResult:
     """Return ``result`` with canonical values and canonical row order.
 
-    Both backends funnel their raw output through this function, so results
+    The interpreter and SQLite backends funnel their raw output through this
+    function (the columnar engine emits the same rows itself), so results
     compare equal across engines: values are coerced via
     :func:`canonical_value` and rows are re-sorted into the deterministic
-    order of :func:`repro.executor.ordering.canonical_order` (which respects
-    the query's ORDER BY while fixing tie order).
+    order of :func:`repro.executor.ordering.canonical_sorted`, which respects
+    the query's ORDER BY while fixing tie order.
     """
-    rows: List[Tuple[object, ...]] = [
-        tuple(canonical_value(value) for value in row) for row in result.rows
-    ]
-    rows = canonical_order(rows, query)
+    order = query.order_by
+    rows = canonical_rows(
+        result.rows,
+        index=None if order is None else order_index(query),
+        descending=order is not None and order.direction is SortDirection.DESC,
+    )
     return ExecutionResult(
         columns=list(result.columns),
         rows=rows,
@@ -206,15 +229,11 @@ class InterpreterBackend:
 
     name = "interpreter"
 
-    def __init__(self, bin_interval: int = 100, normalize: bool = True):
+    def __init__(self, bin_interval: int = 100):
         self._executor = DVQExecutor(bin_interval=bin_interval)
-        self.normalize = normalize
 
     def execute(self, query: DVQuery, database: Database) -> ExecutionResult:
-        result = self._executor.execute(query, database)
-        if self.normalize:
-            result = normalize_result(result, query)
-        return result
+        return normalize_result(self._executor.execute(query, database), query)
 
     def can_execute(self, query: DVQuery, database: Database) -> bool:
         try:

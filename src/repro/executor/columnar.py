@@ -20,7 +20,8 @@ vector kernel either reproduces its scalar counterpart bit-for-bit or
   falling back to :func:`~repro.executor.functions.apply_aggregate`;
 * joins: a sort/searchsorted kernel (NULL keys never match, per SQL),
   falling back to a scalar hash join;
-* the top-k cut: the canonical value order of :mod:`repro.executor.ordering`.
+* the top-k cut and the canonical row order: the sort codes of
+  :mod:`repro.executor.ordering`, falling back to the scalar value keys.
 
 That decline-don't-approximate contract is what keeps the engine row-for-row
 identical to the interpreter, SQLite, and its own unvectorized mode
@@ -28,9 +29,12 @@ identical to the interpreter, SQLite, and its own unvectorized mode
 operator on the calling thread: one serial vectorized path, with its
 per-operator scalar fallback.
 
-:class:`ColumnarBackend` wraps the engine behind the
-:class:`~repro.executor.backend.ExecutionBackend` protocol: plan, push
-predicates down, execute, normalise.
+The engine's output is already normalised: :meth:`ColumnarEngine.run` emits
+canonical values in canonical order, a ``Project`` root through one sort
+over the columns' codes (the fused kernel), every other root through
+:func:`~repro.executor.backend.canonical_rows`.  :class:`ColumnarBackend`
+wraps the engine behind the :class:`~repro.executor.backend.ExecutionBackend`
+protocol: plan, push predicates down, execute.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from repro.database.database import Database
 from repro.database.typed import (
     KIND_NUMBER,
+    KIND_OBJECT,
     KIND_TEXT,
     TypedColumn,
     as_object_column,
@@ -50,6 +55,7 @@ from repro.database.typed import (
 from repro.dvq.nodes import DVQuery
 from repro.executor.backend import (
     ExecutionOutcome,
+    canonical_rows,
     explain_execution,
     normalize_result,
 )
@@ -58,9 +64,10 @@ from repro.executor.errors import ExecutionError
 from repro.executor.executor import ExecutionResult
 from repro.executor.functions import apply_aggregate, grouped_aggregate_vector
 from repro.executor.ordering import (
+    canonical_keys,
     canonical_top_k,
     encode_sort_key,
-    legacy_order_key,
+    sort_order,
     topk_order,
 )
 from repro.executor.predicates import evaluate_condition, evaluate_condition_vector
@@ -173,6 +180,11 @@ class _Batch:
         )
 
 
+def _zip_rows(columns: List[np.ndarray]) -> List[Tuple[object, ...]]:
+    """Row tuples of aligned object columns, holding the columns' own objects."""
+    return list(zip(*[column.tolist() for column in columns]))
+
+
 def _scan_of(node: PlanNode) -> Scan:
     """The base scan under a join input (skipping filters and samples)."""
     while isinstance(node, (Filter, Sample)):
@@ -199,24 +211,32 @@ class ColumnarEngine:
     # -- row-producing nodes -------------------------------------------------
 
     def run(self, plan: PlanNode, database: Database) -> List[Tuple[object, ...]]:
-        """Materialise ``plan`` against ``database`` into output rows."""
-        return self._rows(plan, database)
+        """Materialise ``plan`` into canonical rows in canonical order.
+
+        The rows are exactly what
+        :func:`~repro.executor.backend.normalize_result` would leave.  A
+        ``Project`` or ``Sort(Project)`` root runs the fused kernel
+        (:meth:`_canonical_project`); every other root, and every decline,
+        canonicalises the raw rows with
+        :func:`~repro.executor.backend.canonical_rows`.
+        """
+        below_limit = plan.child if isinstance(plan, Limit) else plan
+        sort = below_limit if isinstance(below_limit, Sort) else None
+        index = None if sort is None else sort.index
+        descending = sort is not None and sort.descending
+        project = plan.child if isinstance(plan, Sort) else plan
+        if self.vectorize and isinstance(project, Project):
+            rows = self._canonical_project(project, index, descending, database)
+            if rows is not None:
+                return rows
+        return canonical_rows(self._rows(plan, database), index, descending)
 
     def _rows(self, node: PlanNode, database: Database) -> List[Tuple[object, ...]]:
+        """Raw output rows; a ``Sort`` root is left to the caller's canonical pass."""
         if isinstance(node, Limit):
             return self._limit(node, database)
         if isinstance(node, Sort):
-            if self.vectorize and isinstance(node.child, Project):
-                rows = self._sort_project(node, node.child, database)
-                if rows is not None:
-                    return rows
-            rows = self._rows(node.child, database)
-            index = node.index
-
-            def sort_key(row: Tuple[object, ...]):
-                return legacy_order_key(row[index] if index < len(row) else None)
-
-            return sorted(rows, key=sort_key, reverse=node.descending)
+            return self._rows(node.child, database)
         if isinstance(node, Aggregate):
             return self._aggregate(node, database)
         if isinstance(node, Project):
@@ -246,39 +266,57 @@ class ColumnarEngine:
 
     @staticmethod
     def _gather_project(batch: _Batch, project: Project) -> List[Tuple[object, ...]]:
-        columns = [
-            batch.column(output.column.key()).objects for output in project.outputs
-        ]
-        return [
-            tuple(column[index] for column in columns) for index in range(batch.length)
-        ]
+        return _zip_rows(
+            [batch.column(output.column.key()).objects for output in project.outputs]
+        )
 
-    def _sort_project(
-        self, node: Sort, project: Project, database: Database
+    @staticmethod
+    def _output_codes(batch: _Batch, project: Project) -> Optional[List[np.ndarray]]:
+        """Sort codes of each output column (a repeated column encodes once),
+        or ``None`` when a column cannot be encoded exactly."""
+        encoded: Dict[Tuple[str, str], Optional[np.ndarray]] = {}
+        codes: List[np.ndarray] = []
+        for output in project.outputs:
+            key = output.column.key()
+            if key not in encoded:
+                encoded[key] = encode_sort_key(batch.column(key))
+            column_codes = encoded[key]
+            if column_codes is None:
+                return None
+            codes.append(column_codes)
+        return codes or None
+
+    def _canonical_project(
+        self,
+        project: Project,
+        index: Optional[int],
+        descending: bool,
+        database: Database,
     ) -> Optional[List[Tuple[object, ...]]]:
-        """ORDER BY as an index permutation over the batch, or ``None``.
+        """Canonical rows of a projection as one index permutation, or ``None``.
 
-        Encodes the sort column's legacy order into ``uint64`` codes
-        (:func:`~repro.executor.ordering.encode_sort_key`), argsorts stably —
-        ``~codes`` for DESC is the exact reversed key, so ties keep input
-        order just like ``sorted(reverse=True)`` — and only then gathers the
-        output columns through the permuted batch: late materialization now
-        covers the ordering stage.  Declines (to the scalar sort) when the
-        sort column cannot be encoded exactly.
+        One :func:`~repro.executor.ordering.sort_order` over the output
+        columns' sort codes (:func:`~repro.executor.ordering.canonical_keys`)
+        is the permutation of :func:`~repro.executor.ordering.canonical_sorted`,
+        and each output column is gathered once through it — no per-cell key
+        tuple or ``canonical_value`` call.  The codes must order *canonical*
+        values, so the kernel takes only columns whose objects already are
+        canonical: text, and number columns of Python ints
+        (:attr:`TypedColumn.ints_only`).  A float (``canonical_value`` rounds,
+        which can tie distinct floats), bool or object-kind column declines to
+        :func:`~repro.executor.backend.canonical_rows`.
         """
-        if node.index >= len(project.outputs):
+        if index is not None and index >= len(project.outputs):
             return None
         batch = self._batch(project.child, database)
-        if batch.length == 0:
-            return []
-        column = batch.column(project.outputs[node.index].column.key())
-        codes = encode_sort_key(column, legacy=True)
+        columns = [batch.column(output.column.key()) for output in project.outputs]
+        if not all(column.kind == KIND_TEXT or column.ints_only for column in columns):
+            return None
+        codes = self._output_codes(batch, project)
         if codes is None:
             return None
-        if node.descending:
-            codes = ~codes
-        permutation = np.argsort(codes, kind="stable")
-        return self._gather_project(batch.take(permutation), project)
+        permutation = sort_order(*canonical_keys(codes, index, descending))
+        return _zip_rows([column.objects[permutation] for column in columns])
 
     def _topk_project(
         self,
@@ -301,27 +339,16 @@ class ColumnarEngine:
         batch = self._batch(project.child, database)
         if batch.length == 0:
             return []
-        encoded: Dict[Tuple[str, str], np.ndarray] = {}
-        keys: List[np.ndarray] = []
-        for output in project.outputs:
-            key = output.column.key()
-            codes = encoded.get(key)
-            if codes is None:
-                codes = encode_sort_key(batch.column(key))
-                if codes is None:
-                    return None
-                encoded[key] = codes
-            keys.append(codes)
-        if not keys:
+        codes = self._output_codes(batch, project)
+        if codes is None:
             return None
-        if sort is not None:
-            if sort.index >= len(keys):
-                return None
-            primary = ~keys[sort.index] if sort.descending else keys[sort.index]
-            secondaries = keys
-        else:
-            primary = keys[0]
-            secondaries = keys[1:]
+        if sort is not None and sort.index >= len(codes):
+            return None
+        primary, secondaries = (
+            canonical_keys(codes)
+            if sort is None
+            else canonical_keys(codes, sort.index, sort.descending)
+        )
         indices = topk_order(primary, secondaries, min(node.count, batch.length))
         return self._gather_project(batch.take(indices), project)
 
@@ -512,7 +539,9 @@ class ColumnarEngine:
             encoded = bin_encode(column, node.unit, self.bin_interval)
             if encoded is not None:
                 labels, codes = encoded
-                columns[BIN_COLUMN] = _LazyColumn(as_object_column(labels[codes]))
+                # code 0 is the NULL label: the codes are the null mask
+                bins = TypedColumn(KIND_OBJECT, labels[codes], None, codes == 0)
+                columns[BIN_COLUMN] = _LazyColumn(bins)
                 return _Batch(batch.length, columns, bin_codes=codes)
         labels = object_array(
             [bin_value(value, node.unit, self.bin_interval) for value in column.objects]
@@ -710,12 +739,10 @@ class ColumnarBackend:
 
     Every query is planned (:func:`~repro.plan.planner.plan_query`), has its
     predicates pushed below the joins (:func:`~repro.plan.optimizer.optimize`)
-    and runs on a :class:`ColumnarEngine`.
+    and runs on a :class:`ColumnarEngine`, whose rows are already normalised.
 
     Args:
         bin_interval: width of ``BIN ... BY INTERVAL`` buckets.
-        normalize: apply the cross-engine result normalisation (on by
-            default, like every backend).
         vectorize: run the NumPy kernels; off = the per-value reference mode
             (the ``"columnar-python"`` entry of the differential matrix).
         approximate: try the sampling-based AQP rewrite
@@ -731,13 +758,11 @@ class ColumnarBackend:
     def __init__(
         self,
         bin_interval: int = 100,
-        normalize: bool = True,
         vectorize: bool = True,
         approximate: bool = False,
         sampling_config: Optional["SamplingConfig"] = None,
     ):
         self._engine = ColumnarEngine(bin_interval=bin_interval, vectorize=vectorize)
-        self.normalize = normalize
         self.approximate = approximate
         self.sampling_config = sampling_config
 
@@ -766,15 +791,11 @@ class ColumnarBackend:
             result = self._execute_approximate(plan, query, database)
             if result is not None:
                 return result
-        rows = self._engine.run(plan, database)
-        result = ExecutionResult(
+        return ExecutionResult(
             columns=list(output_labels(plan)),
-            rows=rows,
+            rows=self._engine.run(plan, database),
             chart_type=query.chart_type.value,
         )
-        if self.normalize:
-            result = normalize_result(result, query)
-        return result
 
     def _execute_approximate(
         self, plan: PlanNode, query: DVQuery, database: Database
@@ -787,17 +808,16 @@ class ColumnarBackend:
         )
         if rewrite is None:
             return None
-        raw = self._engine.run(rewrite.plan, database)
-        rows, approximation = rewrite.finish(raw)
+        # scale-up reads raw rows (the hidden support column, unrounded
+        # aggregates), so the engine's canonical pass waits until after it
+        rows, approximation = rewrite.finish(self._engine._rows(rewrite.plan, database))
         result = ExecutionResult(
             columns=list(rewrite.labels),
             rows=rows,
             chart_type=query.chart_type.value,
             approximation=approximation,
         )
-        if self.normalize:
-            result = normalize_result(result, query)
-        return result
+        return normalize_result(result, query)
 
     def can_execute(self, query: DVQuery, database: Database) -> bool:
         """True when the query executes without error (used by benches)."""

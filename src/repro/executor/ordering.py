@@ -19,17 +19,17 @@ break the total order (every ``<`` involving NaN is False), making
 
 The same contract exists twice, deliberately:
 
-* **scalar** — :func:`value_sort_key` / :func:`legacy_order_key` tuples, used
-  by the interpreter and as the universal fallback, with
-  :func:`canonical_top_k` as the bounded O(n log k) LIMIT cut;
+* **scalar** — :func:`value_sort_key` tuples (and the interpreter's
+  :func:`legacy_order_key`), used by the interpreter and as the universal
+  fallback, with :func:`canonical_top_k` as the bounded O(n log k) LIMIT cut;
 * **vectorized** — :func:`encode_sort_key` folds each column's
   *(rank, value, text)* key into one order-isomorphic ``uint64`` code over
   the typed shadows of :mod:`repro.database.typed` (kind rank + IEEE-754
-  bit-flipped float64, or dictionary codes of the ``<U`` text shadow), so the
-  columnar engine can sort and cut as index permutations
+  bit-flipped float64, or ranks of the ``(lowered, exact)`` text pairs), so
+  the columnar engine can sort and cut as index permutations
   (:func:`sort_order` / :func:`topk_order`).  A column the codes cannot
-  represent exactly (object kind; bools under the legacy order) declines to
-  the scalar key — never approximates it.
+  represent exactly (object kind) declines to the scalar key — never
+  approximates it.
 """
 
 from __future__ import annotations
@@ -81,9 +81,8 @@ def legacy_order_key(value: object) -> Tuple[int, float, str]:
 
     Like :func:`value_sort_key` — Nones last, numbers before NaN before
     strings, strings case-insensitively — but without the exact-text tiebreak,
-    preserving the seed interpreter's exact sort for results that are not
-    normalised.  Both row engines (the legacy interpreter and the columnar
-    engine's Sort node) share this one definition.
+    preserving the seed interpreter's exact sort for the un-normalised output
+    of :class:`~repro.executor.executor.DVQExecutor`.
     """
     if value is None:
         return (3, 0.0, "")
@@ -132,7 +131,8 @@ def canonical_sorted(
     ascending canonical order regardless of direction.  This is the single
     definition of the cross-engine order: :func:`canonical_order` feeds it
     from a query's ORDER BY clause, the columnar engine from a plan's
-    :class:`~repro.plan.nodes.Sort` node.
+    :class:`~repro.plan.nodes.Sort` node (its vectorized kernel,
+    ``sort_order`` over :func:`encode_sort_key` codes, is pinned to it).
     """
     ordered = sorted(rows, key=row_sort_key)
     if index is not None:
@@ -250,16 +250,10 @@ def _encode_number(column: TypedColumn) -> np.ndarray:
     return codes
 
 
-def _encode_text(column: TypedColumn, exact_tiebreak: bool) -> np.ndarray:
+def _encode_text(column: TypedColumn) -> np.ndarray:
+    # (lowered, exact) pairs: rank them lexicographically by stable lexsort,
+    # then assign consecutive codes wherever a pair differs
     lowered = column.lowered
-    if not exact_tiebreak:
-        # legacy key: case-insensitive only — ranks of the lowered shadow
-        uniques, inverse = np.unique(lowered, return_inverse=True)
-        codes = inverse.astype(np.uint64)
-        codes[column.mask] = np.uint64(uniques.size)
-        return codes
-    # canonical key: (lowered, exact) — rank the pairs lexicographically by
-    # stable lexsort, then assign consecutive codes wherever a pair differs
     exact = column.data
     order = np.lexsort((exact, lowered))
     sorted_lowered = lowered[order]
@@ -276,25 +270,34 @@ def _encode_text(column: TypedColumn, exact_tiebreak: bool) -> np.ndarray:
     return codes
 
 
-def encode_sort_key(column: TypedColumn, legacy: bool = False) -> Optional[np.ndarray]:
+def encode_sort_key(column: TypedColumn) -> Optional[np.ndarray]:
     """Ascending ``uint64`` sort codes for one column, or ``None`` to decline.
 
-    Codes are order-isomorphic to :func:`value_sort_key` per value (or to
-    :func:`legacy_order_key` with ``legacy=True``); ``~codes`` is the exact
-    descending key.  Declines on object-kind columns — the typed shadows
-    cannot represent them — and, under the legacy order, on number columns
-    that may contain bools: the float64 shadow stores ``True`` as ``1.0``
-    while :func:`legacy_order_key` sorts bools as the text ``"true"``.
+    Codes are order-isomorphic to :func:`value_sort_key` per value; ``~codes``
+    is the exact descending key.  Declines on object-kind columns, which the
+    typed shadows cannot represent.
     """
     if len(column) == 0:
         return np.empty(0, dtype=np.uint64)
     if column.kind == KIND_NUMBER:
-        if legacy and column.has_bool:
-            return None
         return _encode_number(column)
     if column.kind == KIND_TEXT:
-        return _encode_text(column, exact_tiebreak=not legacy)
+        return _encode_text(column)
     return None
+
+
+def canonical_keys(
+    codes: Sequence[np.ndarray], index: Optional[int] = None, descending: bool = False
+) -> Tuple[np.ndarray, Sequence[np.ndarray]]:
+    """``(primary, secondaries)`` codes of :func:`canonical_sorted`'s order.
+
+    ``codes`` holds one column's codes per output column.  The two-pass sort
+    is one stable sort by *(direction-adjusted ORDER BY column, every
+    column)*; without an ORDER BY it is the row order, column by column.
+    """
+    if index is None:
+        return codes[0], codes[1:]
+    return (~codes[index] if descending else codes[index]), codes
 
 
 def sort_order(primary: np.ndarray, secondaries: Sequence[np.ndarray]) -> np.ndarray:

@@ -65,20 +65,12 @@ class SQLiteBackend:
             tools or exceeding RAM.
         bin_interval: width of ``BIN ... BY INTERVAL`` buckets, matching the
             interpreter's parameter.
-        normalize: apply the cross-engine result normalisation (on by
-            default; turn off only to inspect raw engine output).
     """
 
     name = "sqlite"
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        bin_interval: int = 100,
-        normalize: bool = True,
-    ):
+    def __init__(self, directory: Optional[str] = None, bin_interval: int = 100):
         self.directory = directory
-        self.normalize = normalize
         self._compiler = DVQToSQLCompiler(bin_interval=bin_interval)
         self._connections: "weakref.WeakKeyDictionary[Database, sqlite3.Connection]" = (
             weakref.WeakKeyDictionary()
@@ -115,9 +107,7 @@ class SQLiteBackend:
             rows=rows,
             chart_type=query.chart_type.value,
         )
-        if self.normalize:
-            result = normalize_result(result, query)
-        return result
+        return normalize_result(result, query)
 
     def can_execute(self, query: DVQuery, database: Database) -> bool:
         """True when the query executes without error (used by benches)."""

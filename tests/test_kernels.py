@@ -15,7 +15,9 @@ groups, single-group skew and top-k cuts on a tied pivot:
 * equi-join indices (``_vector_join_indices``) and the hashed fallback
   (``_scalar_join_indices``) vs a nested-loop reference join;
 * sort codes + :func:`sort_order` vs a stable ``sorted`` on the scalar keys;
-* :func:`topk_order` vs the head of that scalar sort.
+* :func:`topk_order` vs the head of that scalar sort;
+* bin encoding (:func:`bin_encode`, with its NumPy date parse) vs
+  :func:`bin_value` per row.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import numpy as np
 import pytest
 
 from repro.database.schema import ColumnType
-from repro.database.typed import build_typed_column
+from repro.database.typed import KIND_OBJECT, build_typed_column
+from repro.dvq.nodes import BinUnit
+from repro.executor.binning import _parse_dates, bin_encode, bin_value
 from repro.executor.columnar import (
     ColumnarEngine,
     _Batch,
@@ -39,7 +43,6 @@ from repro.executor.columnar import (
 from repro.executor.functions import apply_aggregate, grouped_aggregate_vector
 from repro.executor.ordering import (
     encode_sort_key,
-    legacy_order_key,
     sort_order,
     topk_order,
     value_sort_key,
@@ -377,8 +380,8 @@ def sort_corpus(seed: int, length: int):
     return numbers, texts
 
 
-def codes_of(values, legacy=False):
-    codes = encode_sort_key(build_typed_column(values), legacy=legacy)
+def codes_of(values):
+    codes = encode_sort_key(build_typed_column(values))
     assert codes is not None
     return codes
 
@@ -409,12 +412,6 @@ class TestSortOrder:
         expected = sorted(range(600), key=lambda row: value_sort_key(numbers[row]))
         assert sort_order(codes_of(numbers), ()).tolist() == expected
 
-    @pytest.mark.parametrize("column", ("numbers", "texts"))
-    def test_legacy_codes_follow_the_legacy_key(self, column):
-        values = dict(zip(("numbers", "texts"), sort_corpus(5, 500)))[column]
-        expected = sorted(range(500), key=lambda row: legacy_order_key(values[row]))
-        assert sort_order(codes_of(values, legacy=True), ()).tolist() == expected
-
     def test_constant_keys_keep_row_order(self):
         primary = np.full(400, np.uint64(7))
         assert sort_order(primary, (primary,)).tolist() == list(range(400))
@@ -444,3 +441,66 @@ class TestTopkOrder:
         numbers, texts = sort_corpus(6, 50)
         for count in (0, -1):
             assert topk_order(codes_of(numbers), [codes_of(texts)], count).size == 0
+
+
+# -- bin encoding ------------------------------------------------------------
+
+
+def iso_dates(seed, count=400):
+    """Seeded valid ``YYYY-MM-DD`` strings (repeats included) with some NULLs."""
+    rng = random.Random(seed)
+    pool = [
+        f"{rng.randint(0, 9999):04d}-{rng.randint(1, 12):02d}-{rng.randint(1, 31):02d}"
+        for _ in range(count // 3)
+    ]
+    return [None if rng.random() < 0.05 else rng.choice(pool) for _ in range(count)]
+
+
+#: Strings ``_parse_date`` reads (or rejects) but the strict NumPy parse must
+#: not accept: short fields, out-of-range fields, what ``int()`` tolerates.
+NEAR_DATES = [
+    "2001-1-05", "2001-13-01", "2001-02-32", "+001-01-01", " 2001-01-01",
+    "2001-01-01 ", "２００１-01-01",
+]
+
+BIN_INPUTS = {
+    "iso-dates": iso_dates(0),
+    **{f"near-date {text!r}": iso_dates(1, 60) + [text] for text in NEAR_DATES},
+    "plain-years": ["2001", "1999", None, "2001", "twenty"],
+    "int-years": [1995, None, 2023, 1995, -4, 0, 2**40],
+    "floats-with-nan-and-inf": [2.5, float("nan"), None, -float("inf"), 199.0, float("inf")],
+    "floats-with-inf": [2.5, -0.0, None, -float("inf"), 199.0, float("inf"), 0.0, 2.5],
+    "all-null": [None, None],
+}
+
+
+class TestBinEncode:
+    @pytest.mark.parametrize("unit", list(BinUnit), ids=lambda unit: unit.name)
+    @pytest.mark.parametrize("values", BIN_INPUTS.values(), ids=BIN_INPUTS.keys())
+    def test_matches_bin_value_per_row(self, values, unit):
+        column = build_typed_column(values)
+        encoded = bin_encode(column, unit)
+        if encoded is None:
+            # declines only where the per-value fallback is required
+            assert column.kind == KIND_OBJECT or column.has_nan
+            return
+        labels, codes = encoded
+        actual = [labels[code] for code in codes]
+        expected = [bin_value(value, unit) for value in values]
+        assert actual == expected
+        assert [type(label) for label in actual] == [type(label) for label in expected]
+        # code 0 is NULL; the others number the labels in first-seen order
+        assert labels[0] is None and all((code == 0) == (value is None)
+                                         for code, value in zip(codes, values))
+        first_seen = list(dict.fromkeys(int(code) for code in codes if code))
+        assert first_seen == list(range(1, len(labels)))
+
+    def test_strict_dates_parse_in_numpy_and_near_dates_decline(self):
+        dates = [value for value in iso_dates(2) if value is not None]
+        parsed = _parse_dates(np.array(dates))
+        assert parsed is not None
+        assert [tuple(map(int, fields)) for fields in zip(*parsed)] == [
+            tuple(int(part) for part in text.split("-")) for text in dates
+        ]
+        for text in NEAR_DATES:
+            assert _parse_dates(np.array(dates + [text])) is None, text

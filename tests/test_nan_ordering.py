@@ -101,14 +101,15 @@ class TestValueRanks:
             assert resorted == baseline
 
 
-@pytest.mark.parametrize(
-    "engine_factory",
-    [
-        pytest.param(InterpreterBackend, id="interpreter"),
-        pytest.param(ColumnarBackend, id="columnar"),
-        pytest.param(lambda: ColumnarBackend(vectorize=False), id="columnar-python"),
-    ],
-)
+#: The in-process engines (SQLite binds NaN as NULL, so it is out of scope).
+_ENGINES = [
+    pytest.param(InterpreterBackend, id="interpreter"),
+    pytest.param(ColumnarBackend, id="columnar"),
+    pytest.param(lambda: ColumnarBackend(vectorize=False), id="columnar-python"),
+]
+
+
+@pytest.mark.parametrize("engine_factory", _ENGINES)
 class TestEngineOrderByWithNaN:
     """Same ID sequence on every engine, for every input permutation."""
 
@@ -135,6 +136,35 @@ class TestEngineOrderByWithNaN:
         assert len(reference) == 4
         for permutation in _permutations(_ROWS):
             assert self._ids(engine, permutation, text) == reference
+
+
+@pytest.mark.parametrize("engine_factory", _ENGINES)
+class TestBinOverInfinity:
+    """``±inf`` bin to stable text labels on every unit, as NaN does to
+    ``"NaN"``, instead of raising from ``int()``."""
+
+    #: Canonical rows of the bins, before the NaN and NULL bins.
+    _BINS = {
+        "YEAR": [(-3, 1), (0, 1), (2, 1), (7, 1), ("-Infinity", 1), ("Infinity", 1)],
+        "INTERVAL": [("-Infinity", 1), ("[-100, 0)", 1), ("[0, 100)", 3), ("Infinity", 1)],
+    }
+
+    @pytest.mark.parametrize("with_nan", [True, False], ids=["with-nan", "without-nan"])
+    @pytest.mark.parametrize("unit", ["YEAR", "INTERVAL"])
+    def test_infinities_bin_to_text_labels(self, engine_factory, unit, with_nan):
+        # without NaN the columnar engine bins through bin_encode; with it,
+        # per value through bin_value
+        rows = [row for row in _ROWS if with_nan or not _is_nan(row[1])]
+        query = parse_dvq(
+            f"Visualize BAR SELECT VALUE , COUNT(VALUE) FROM readings BIN VALUE BY {unit}"
+        )
+        result = engine_factory().execute(query, _database(rows))
+        expected = self._BINS[unit] + ([("NaN", 2)] if with_nan else []) + [(None, 0)]
+        assert result.rows == expected
+
+
+def _is_nan(value):
+    return isinstance(value, float) and math.isnan(value)
 
 
 class TestNormalizeResultWithNaN:
@@ -196,35 +226,30 @@ class TestSortKeyEncoding:
         inf_codes = encode_sort_key(build_typed_column([float("inf"), NAN, None]))
         assert inf_codes[0] < inf_codes[1] < inf_codes[2]
 
-    def test_text_codes_match_canonical_and_legacy_keys(self):
-        values = ["Apple", "apple", "Banana", None, "apple", "zebra", "", "Zebra"]
-        column = build_typed_column(values)
-        canonical = encode_sort_key(column)
-        legacy = encode_sort_key(column, legacy=True)
-        canonical_keys = [value_sort_key(value) for value in values]
-        legacy_keys = [legacy_order_key(value) for value in values]
+    def test_text_codes_match_the_canonical_key(self):
+        values = [
+            "Apple", "apple", "Banana", None, "apple", "zebra", "", "Zebra",
+            # lower-case forms longer than their sources ("İ" -> "i̇")
+            "İİİ", "İİiж", "i̇i̇", "b",
+        ]
+        codes = encode_sort_key(build_typed_column(values))
+        keys = [value_sort_key(value) for value in values]
         for i in range(len(values)):
             for j in range(len(values)):
-                assert (canonical[i] < canonical[j]) == (
-                    canonical_keys[i] < canonical_keys[j]
-                ), (i, j)
-                assert (legacy[i] < legacy[j]) == (
-                    legacy_keys[i] < legacy_keys[j]
-                ), (i, j)
+                assert (codes[i] < codes[j]) == (keys[i] < keys[j]), (i, j)
+                assert (codes[i] == codes[j]) == (keys[i] == keys[j]), (i, j)
 
     def test_object_kind_columns_decline(self):
         mixed = build_typed_column([1, "two", 3.0, None])
         assert encode_sort_key(mixed) is None
-        assert encode_sort_key(mixed, legacy=True) is None
 
-    def test_bool_bearing_number_columns_decline_only_under_legacy(self):
-        # legacy_order_key sorts bools as the text "true"/"false", which the
-        # float64 shadow (1.0/0.0) cannot reproduce — so the legacy encoding
-        # must decline while the canonical one (bool == number) encodes
+    def test_bool_bearing_number_columns_encode_as_numbers(self):
+        # the canonical key ranks a bool as the number it equals, which is
+        # what the float64 shadow (1.0/0.0) stores
         column = build_typed_column([1.0, True, 0.0, False, None])
-        assert column.has_bool
-        assert encode_sort_key(column, legacy=True) is None
-        assert encode_sort_key(column) is not None
+        codes = encode_sort_key(column)
+        assert codes is not None
+        assert codes[0] == codes[1] and codes[2] == codes[3] < codes[0] < codes[4]
 
     def test_empty_columns_encode_to_empty_codes(self):
         codes = encode_sort_key(build_typed_column([]))

@@ -292,7 +292,7 @@ class TestSortHeavySweeps:
     def test_sort_heavy_sweep_engages_the_sort_kernels(self, database, monkeypatch):
         calls = {"topk": 0, "sort": 0}
         real_topk = columnar_module.topk_order
-        real_sort = columnar_module.ColumnarEngine._sort_project
+        real_sort = columnar_module.ColumnarEngine._canonical_project
 
         def spy_topk(*args, **kwargs):
             calls["topk"] += 1
@@ -305,7 +305,7 @@ class TestSortHeavySweeps:
             return rows
 
         monkeypatch.setattr(columnar_module, "topk_order", spy_topk)
-        monkeypatch.setattr(columnar_module.ColumnarEngine, "_sort_project", spy_sort)
+        monkeypatch.setattr(columnar_module.ColumnarEngine, "_canonical_project", spy_sort)
         fuzzer = DifferentialFuzzer(
             database,
             generator_factory=_sort_heavy_factory(weakref.WeakKeyDictionary()),
