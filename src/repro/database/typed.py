@@ -14,6 +14,11 @@ two: one classification pass infers a *kind* for the column and materialises
   number columns, ``<U`` for text columns, absent for mixed columns), and
 * ``mask`` — a boolean null mask (``True`` where the value is ``None``).
 
+Two derived arrays are built on first use and cached on the column, so they
+live exactly as long as the table's typed store: the lower-cased shadow of a
+text column (:attr:`TypedColumn.lowered`) and the GROUP BY codes of a text or
+NaN-free number column (:attr:`TypedColumn.group_codes`).
+
 Inference is conservative: any column a typed array cannot represent
 *exactly* (mixed types, integers beyond the float64-exact range, strings
 with NUL bytes) falls back to ``KIND_OBJECT``, for which every kernel
@@ -23,7 +28,7 @@ hatch the differential suite leans on.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +49,10 @@ class TypedColumn:
         kind: ``"number"`` (data is float64), ``"text"`` (data is ``<U``) or
             ``"object"`` (no typed shadow; kernels must decline).
         objects: object-dtype array of the original Python values (``None``
-            for NULL) — outputs are always gathered from here.
+            for NULL) — outputs are always gathered from here.  After
+            :meth:`take` it is gathered on first read: most kernels read
+            only ``data`` and ``mask``, and gathering objects touches every
+            selected value's reference count.
         data: the typed shadow array, or ``None`` for object kind.  Masked
             slots hold a placeholder (``0.0`` / ``""``); kernels must never
             let a placeholder escape — consult :attr:`mask`.
@@ -56,12 +64,15 @@ class TypedColumn:
             decline).
     """
 
-    __slots__ = ("kind", "objects", "data", "mask", "ints_only", "_lowered", "_has_nan")
+    __slots__ = (
+        "kind", "data", "mask", "ints_only",
+        "_objects", "_selection", "_lowered", "_has_nan", "_group_codes",
+    )
 
     def __init__(
         self,
         kind: str,
-        objects: np.ndarray,
+        objects: Optional[np.ndarray],
         data: Optional[np.ndarray],
         mask: np.ndarray,
         lowered: Optional[np.ndarray] = None,
@@ -69,15 +80,29 @@ class TypedColumn:
         ints_only: bool = False,
     ):
         self.kind = kind
-        self.objects = objects
+        self._objects = objects
+        #: ``(source column, indices)`` of a :meth:`take` whose objects are
+        #: not gathered yet
+        self._selection: Optional[Tuple["TypedColumn", np.ndarray]] = None
         self.data = data
         self.mask = mask
         self.ints_only = ints_only
         self._lowered = lowered
         self._has_nan = has_nan
+        self._group_codes: Optional[Tuple[np.ndarray, int]] = None
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self.mask)
+
+    @property
+    def objects(self) -> np.ndarray:
+        objects = self._objects
+        if objects is None:
+            # a concurrent double gather is benign: both read the same rows
+            source, indices = self._selection
+            objects = source.objects[indices]
+            self._objects = objects
+        return objects
 
     @property
     def lowered(self) -> np.ndarray:
@@ -97,6 +122,27 @@ class TypedColumn:
         return lowered
 
     @property
+    def group_codes(self) -> Optional[Tuple[np.ndarray, int]]:
+        """GROUP BY codes ``(codes, code_count)``, or ``None`` to decline.
+
+        Two rows share a code exactly when their values would share a dict
+        key in the scalar path's group tuples, and every code lies in
+        ``[0, code_count)``.  Built by :func:`build_group_codes` on first use
+        and cached for the column's lifetime, so a table's typed store pays
+        for them once per grouped column (``insert`` drops them with the
+        store); a concurrent double build is benign, as for :attr:`lowered`.
+        Object-kind and NaN-bearing columns decline: their keys are encoded
+        per batch (NaN groups by identity, which no float code reproduces).
+        """
+        if self.kind == KIND_OBJECT or self.has_nan:
+            return None
+        codes = self._group_codes
+        if codes is None:
+            codes = build_group_codes(self)
+            self._group_codes = codes
+        return codes
+
+    @property
     def has_nan(self) -> bool:
         """True when a number column may contain NaN values.
 
@@ -113,16 +159,19 @@ class TypedColumn:
         return self._has_nan
 
     def take(self, indices: np.ndarray) -> "TypedColumn":
-        """Gather rows by index into a new, aligned :class:`TypedColumn`."""
-        return TypedColumn(
+        """Gather rows by index into a new, aligned :class:`TypedColumn`
+        (its :attr:`objects` on first read)."""
+        column = TypedColumn(
             self.kind,
-            self.objects[indices],
+            None,
             None if self.data is None else self.data[indices],
             self.mask[indices],
             lowered=None if self._lowered is None else self._lowered[indices],
             has_nan=self._has_nan,
             ints_only=self.ints_only,
         )
+        column._selection = (self, indices)
+        return column
 
 
 def as_object_column(values: np.ndarray) -> TypedColumn:
@@ -141,6 +190,46 @@ def object_array(values: List[object]) -> np.ndarray:
     array = np.empty(len(values), dtype=object)
     array[:] = values
     return array
+
+
+def encode_objects(objects: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dict-encode arbitrary objects: ``(codes, code_count)``, first-seen.
+
+    Equal codes mean equal dict keys (exact, case-sensitive ``str``
+    equality; ``1 == 1.0 == True``; a NaN object only matches itself).
+    Raises TypeError on unhashable values, like the scalar path's tuple
+    group keys.
+    """
+    values = objects.tolist()
+    # dict.fromkeys is a C-level, insertion-ordered dedup with exactly dict
+    # key equality; only the (few) distinct values loop in Python
+    codes = dict.fromkeys(values)
+    for code, value in enumerate(codes):
+        codes[value] = code
+    encoded = np.fromiter(map(codes.__getitem__, values), dtype=np.intp, count=len(values))
+    return encoded, len(codes)
+
+
+def build_group_codes(column: TypedColumn) -> Tuple[np.ndarray, int]:
+    """The group codes of a text or NaN-free number column (see
+    :attr:`TypedColumn.group_codes`).
+
+    Text columns dict-encode their objects (NULL is one more key): the dict
+    scan is several times faster than ``np.unique``'s comparison sort over
+    strings, with the same exact, case-sensitive equality.  Number columns
+    take ``np.unique``'s inverse over the float64 shadow of the non-null
+    rows, shifted past code 0 = NULL: float64 equality merges ``1``, ``1.0``
+    and ``True``, and ``-0.0`` and ``0.0``, as dict keys do.
+    """
+    if column.kind == KIND_TEXT:
+        return encode_objects(column.objects)
+    codes = np.zeros(len(column), dtype=np.intp)
+    valid = np.flatnonzero(~column.mask)
+    if not valid.size:
+        return codes, 1
+    distinct, inverse = np.unique(column.data[valid], return_inverse=True)
+    codes[valid] = inverse + 1
+    return codes, distinct.size + 1
 
 
 def build_typed_column(values: List[object]) -> TypedColumn:

@@ -50,6 +50,7 @@ from repro.database.typed import (
     KIND_TEXT,
     TypedColumn,
     as_object_column,
+    encode_objects,
     object_array,
 )
 from repro.dvq.nodes import DVQuery
@@ -79,6 +80,7 @@ from repro.plan.nodes import (
     BinOutput,
     Comparison,
     Filter,
+    GroupKey,
     Join,
     Limit,
     PlanNode,
@@ -99,6 +101,11 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 BIN_COLUMN = ("", "__bin__")
 
 _EMPTY_INDICES = np.empty(0, dtype=np.intp)
+
+#: How far a GROUP BY code range may outgrow the batch before
+#: :meth:`ColumnarEngine._group_ids` renumbers the codes densely: the
+#: first-occurrence pass allocates one slot per code value.
+_CODE_SLOTS_PER_ROW = 4
 
 
 class _LazyColumn:
@@ -128,6 +135,13 @@ class _LazyColumn:
             value = self.base.take(self.indices)
             self._value = value
         return value
+
+    def objects_at(self, rows: np.ndarray) -> List[object]:
+        """The objects at batch rows ``rows``, read through the selection
+        without gathering the column."""
+        if self.indices is not None:
+            rows = self.indices[rows]
+        return self.base.objects[rows].tolist()
 
 
 class _Batch:
@@ -365,6 +379,14 @@ class ColumnarEngine:
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Group rows: ``(gid, first_rows, group_count)`` in first-seen order.
 
+        Each key contributes integer codes (:meth:`_key_codes`).  Several
+        keys combine mixed-radix; whenever the combined code range outgrows
+        the batch by more than ``_CODE_SLOTS_PER_ROW``, ``np.unique``
+        renumbers it densely, which keeps the first-occurrence table O(n)
+        and the next product far from int64 overflow.
+        :func:`_first_seen_groups` then numbers the groups in one O(n + K)
+        pass over the K code values, with no sort of the n rows.
+
         An unhashable key value raises TypeError — the same exception the
         scalar path's dict group keys would raise.
         """
@@ -376,27 +398,45 @@ class ColumnarEngine:
             return gid, np.zeros(1, dtype=np.intp), 1
         if batch.length == 0:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), 0
+        slots = _CODE_SLOTS_PER_ROW * batch.length
         combined: Optional[np.ndarray] = None
+        span = 1
         for key in node.keys:
-            if isinstance(key, BinKey):
-                codes = batch.bin_codes
-                if codes is None:
-                    codes = _encode_objects(batch.column(BIN_COLUMN).objects)
-            else:
-                codes = _encode_key(batch.column(key.key()))
+            codes, count = self._key_codes(key, batch)
             if combined is None:
-                combined = codes.astype(np.int64)
+                combined = codes
             else:
-                # pairwise re-encode keeps the combined code < row count, so
-                # the product below never overflows int64
-                combined = combined * (np.int64(codes.max()) + 1) + codes
-                _, combined = np.unique(combined, return_inverse=True)
+                combined = combined * count + codes
+            span *= count
+            if span > slots:
+                distinct, combined = np.unique(combined, return_inverse=True)
+                span = distinct.size
         assert combined is not None
-        _, first_idx, inverse = np.unique(combined, return_index=True, return_inverse=True)
-        order = np.argsort(first_idx, kind="stable")
-        rank = np.empty(order.size, dtype=np.intp)
-        rank[order] = np.arange(order.size)
-        return rank[inverse], first_idx[order], order.size
+        return _first_seen_groups(combined, span)
+
+    @staticmethod
+    def _key_codes(key: GroupKey, batch: _Batch) -> Tuple[np.ndarray, int]:
+        """One group key's ``(codes, code_count)`` over the batch rows.
+
+        A text or NaN-free number column reads its base column's cached
+        :attr:`~repro.database.typed.TypedColumn.group_codes` through the
+        batch's selection, so the column is never gathered; a vectorized BIN
+        reads its label codes.  An object-kind or NaN-bearing column, and a
+        BIN whose encoding declined, dict-encode their objects per batch.
+        """
+        if isinstance(key, BinKey):
+            codes = batch.bin_codes
+            if codes is None:
+                return encode_objects(batch.column(BIN_COLUMN).objects)
+            return codes, int(codes.max()) + 1
+        holder = batch.columns[key.key()]
+        cached = holder.base.group_codes
+        if cached is None:
+            return encode_objects(holder.get().objects)
+        codes, count = cached
+        if holder.indices is not None:
+            codes = codes[holder.indices]
+        return codes, count
 
     def _aggregate_grouped(
         self,
@@ -441,11 +481,10 @@ class ColumnarEngine:
                     ]
                 columns_out.append(values)
             elif isinstance(output, BinOutput):
-                labels = batch.column(BIN_COLUMN).objects
-                columns_out.append([labels[row] for row in first_rows])
+                columns_out.append(batch.columns[BIN_COLUMN].objects_at(first_rows))
             else:
-                objects = batch.column(output.column.key()).objects
-                columns_out.append([objects[row] for row in first_rows])
+                holder = batch.columns[output.column.key()]
+                columns_out.append(holder.objects_at(first_rows))
         return [
             tuple(column[group] for column in columns_out) for group in range(group_count)
         ]
@@ -626,39 +665,24 @@ class ColumnarEngine:
 # -- grouping / join kernels (module level so they are unit-testable) --------
 
 
-def _encode_key(column: TypedColumn) -> np.ndarray:
-    """Dictionary-encode one grouping column; NULL rows get code 0.
+def _first_seen_groups(
+    codes: np.ndarray, code_count: int
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Number the distinct ``codes`` (each in ``[0, code_count)``) first-seen.
 
-    Number columns encode through ``np.unique`` on the float64 shadow
-    (equality there — ``5 == 5.0 == True`` — matches dict key equality in
-    the scalar path).  Text and mixed/NaN columns go through a Python dict,
-    whose identity-or-equality semantics are exactly the interpreter's tuple
-    group keys: for strings, ``np.unique``'s O(n log n) comparison sort
-    dominates the whole group-by, while the dict scan is several times
-    faster with identical (exact, case-sensitive) equality.
+    ``np.minimum.at`` fills a one-slot-per-code table with each code's first
+    row — plain fancy assignment would leave the winner among repeated
+    indices undefined — and sorting the <= K first rows numbers the groups.
+    Returns ``(gid, first_rows, group_count)``.
     """
-    if column.kind == KIND_NUMBER and not column.has_nan:
-        codes = np.zeros(len(column), dtype=np.intp)
-        valid = np.flatnonzero(~column.mask)
-        if valid.size:
-            _, inverse = np.unique(column.data[valid], return_inverse=True)
-            codes[valid] = inverse + 1
-        return codes
-    return _encode_objects(column.objects)
-
-
-def _encode_objects(objects: np.ndarray) -> np.ndarray:
-    """Dict-encode arbitrary objects (raises TypeError on unhashable values,
-    like the scalar path's tuple group keys)."""
-    values = objects.tolist()
-    # dict.fromkeys is a C-level, insertion-ordered dedup with exactly dict
-    # key equality; only the (few) distinct values loop in Python
-    codes = dict.fromkeys(values)
-    for code, value in enumerate(codes):
-        codes[value] = code
-    return np.fromiter(
-        map(codes.__getitem__, values), dtype=np.intp, count=len(values)
-    )
+    length = codes.size
+    first = np.full(code_count, length, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(length))
+    first_rows = np.sort(first[first < length])
+    # only present codes get a rank, and only present codes are read back
+    rank = np.empty(code_count, dtype=np.intp)
+    rank[codes[first_rows]] = np.arange(first_rows.size)
+    return rank[codes], first_rows, first_rows.size
 
 
 def _vector_join_indices(

@@ -271,10 +271,12 @@ def grouped_extreme_rows(
         hit_mask &= ~nan_slots
     hits = np.flatnonzero(hit_mask)
     if hits.size:
-        segment_ids = np.cumsum(boundary) - 1
-        # segment ids ascend, so np.unique's return_index is the first hit
-        # per segment
-        first_hits = hits[np.unique(segment_ids[hits], return_index=True)[1]]
+        # hits ascend and their segment ids never decrease, so a segment's
+        # first hit is the one where the id changes
+        hit_segments = np.cumsum(boundary)[hits]
+        first_hit = np.ones(hits.size, dtype=bool)
+        first_hit[1:] = hit_segments[1:] != hit_segments[:-1]
+        first_hits = hits[first_hit]
         result[sorted_groups[first_hits]] = valid_rows[order[first_hits]]
     if nan_slots is not None:
         # a group whose first value is NaN keeps it: the fold starts there

@@ -1,13 +1,24 @@
 """Tests for the relational substrate and the DVQ executor."""
 
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.database import Catalog, DataGenerator, Table
+import repro.database.typed as typed_module
+from repro.database import Catalog, Database, DataGenerator, Table
 from repro.database.schema import Column, ColumnType, TableSchema, build_schema
+from repro.database.typed import build_typed_column
 from repro.dvq import parse_dvq
 from repro.dvq.nodes import BinUnit, ColumnRef, Condition
-from repro.executor import DVQExecutor, ExecutionError, ExecutionResult
+from repro.executor import (
+    ColumnarBackend,
+    DVQExecutor,
+    ExecutionError,
+    ExecutionResult,
+    InterpreterBackend,
+)
 from repro.executor.binning import bin_value
 from repro.executor.functions import apply_aggregate
 from repro.executor.predicates import evaluate_condition
@@ -118,6 +129,129 @@ class TestColumnStoreThreadSafety:
         typed = table.typed_store()["B"]
         assert list(typed.objects) == ["x", None]
         assert list(typed.mask) == [False, True]
+
+
+class TestTypedColumnTake:
+    def test_objects_are_gathered_on_first_read(self):
+        column = build_typed_column(["a", None, "b", 1.5])
+        taken = column.take(np.array([3, 1, 3], dtype=np.intp))
+        # the kernels' arrays are gathered at once, the objects only when read
+        assert taken._objects is None
+        assert taken.mask.tolist() == [False, True, False]
+        assert len(taken) == 3
+        assert taken.objects.tolist() == [1.5, None, 1.5]
+        assert taken.objects is taken.objects
+
+    def test_a_take_of_a_take_reads_the_composed_rows(self):
+        column = build_typed_column([10, 20, None, 40])
+        taken = column.take(np.array([3, 2, 0], dtype=np.intp))
+        again = taken.take(np.array([2, 0], dtype=np.intp))
+        assert again.data.tolist() == [10.0, 40.0]
+        assert again.objects.tolist() == [10, 40]
+        assert taken.objects.tolist() == [40, None, 10]
+
+
+class TestGroupCodeCache:
+    """A grouped column's codes live as long as its table's typed store.
+
+    Built by ``build_group_codes`` at the first GROUP BY over the column,
+    read by every later one, dropped by ``insert`` with the store.
+    """
+
+    QUERY = parse_dvq(
+        "Visualize BAR SELECT REGION , SUM(UNITS) FROM sales "
+        "WHERE UNITS > 1 GROUP BY REGION"
+    )
+
+    @staticmethod
+    def sales_database():
+        schema = build_schema(
+            "shop",
+            [
+                (
+                    "sales",
+                    [
+                        ("SALE_ID", ColumnType.NUMBER, "id"),
+                        ("REGION", ColumnType.TEXT, "city"),
+                        ("UNITS", ColumnType.NUMBER, "count"),
+                    ],
+                )
+            ],
+        )
+        regions = ["north", "South", "east", None, "west", "north"]
+        rows = [
+            {"SALE_ID": index, "REGION": regions[index % 6], "UNITS": index % 5}
+            for index in range(60)
+        ]
+        return Database.from_rows(schema, {"sales": rows})
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        real = typed_module.build_group_codes
+
+        def spy(column):
+            built.append(column)
+            return real(column)
+
+        monkeypatch.setattr(typed_module, "build_group_codes", spy)
+        return built
+
+    def test_codes_are_built_once_across_group_by_runs(self, builds):
+        database = self.sales_database()
+        expected = InterpreterBackend().execute(self.QUERY, database).rows
+        engine = ColumnarBackend()
+        for _ in range(3):
+            assert engine.execute(self.QUERY, database).rows == expected
+        region = database.table("sales").typed_store()["REGION"]
+        assert builds == [region]
+        assert region.group_codes is not None
+
+    def test_insert_drops_the_codes_with_the_typed_store(self, builds):
+        database = self.sales_database()
+        engine = ColumnarBackend()
+        before = engine.execute(self.QUERY, database).rows
+        assert "middle" not in [row[0] for row in before]
+        table = database.table("sales")
+        old_region = table.typed_store()["REGION"]
+        table.insert({"SALE_ID": 60, "REGION": "middle", "UNITS": 4})
+        after = engine.execute(self.QUERY, database).rows
+        assert after == InterpreterBackend().execute(self.QUERY, database).rows
+        assert ("middle", 4) in after
+        new_region = table.typed_store()["REGION"]
+        assert new_region is not old_region
+        assert builds == [old_region, new_region]
+
+    def test_threaded_double_builds_agree(self, hr_database):
+        from repro.runtime.runner import BatchRunner
+
+        query = parse_dvq(
+            "Visualize BAR SELECT FIRST_NAME , COUNT(FIRST_NAME) FROM employees "
+            "JOIN departments ON employees.DEPARTMENT_ID = departments.DEPARTMENT_ID "
+            "WHERE SALARY > 4000 GROUP BY FIRST_NAME"
+        )
+        expected = InterpreterBackend().execute(query, hr_database).rows
+        assert expected
+        engine = ColumnarBackend()
+        table = hr_database.table("employees")
+        runner = BatchRunner(max_workers=8)
+        interval = sys.getswitchinterval()
+        # switch threads often, so two of them build one column's codes at once
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(25):
+                table.refresh_columns()
+                results = runner.map(
+                    range(8), lambda _: engine.execute(query, hr_database).rows
+                )
+                assert all(rows == expected for rows in results)
+                first_name = table.typed_store()["FIRST_NAME"]
+                codes, count = first_name.group_codes
+                reference, reference_count = typed_module.build_group_codes(first_name)
+                assert codes.tolist() == reference.tolist()
+                assert count == reference_count
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDataGenerator:

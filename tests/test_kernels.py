@@ -9,7 +9,10 @@ NaN-bearing columns, mixed number types, case variants, heavy ties, empty
 groups, single-group skew and top-k cuts on a tied pivot:
 
 * group encode (``ColumnarEngine._group_ids``) vs dict grouping over row
-  tuples, numbered first-seen;
+  tuples, numbered first-seen — on whole columns and through the selections
+  a Filter or Join leaves (dropped values, empty, repeated indices), on the
+  cached-code path of text and number keys and the per-batch path of NaN
+  and object keys;
 * grouped aggregates (:func:`grouped_aggregate_vector`) vs
   :func:`apply_aggregate` folded over each group's members in row order;
 * equi-join indices (``_vector_join_indices``) and the hashed fallback
@@ -55,16 +58,23 @@ NAN = float("nan")
 # -- group encode ------------------------------------------------------------
 
 
-def engine_group_ids(*columns):
-    """``ColumnarEngine._group_ids`` grouping one table's ``columns``."""
+def engine_group_ids(*columns, indices=None):
+    """``ColumnarEngine._group_ids`` grouping one table's ``columns``.
+
+    ``indices`` selects the batch rows from the base columns, as a Filter
+    (ascending, some rows dropped) or a Join (repeats) leaves them; ``None``
+    is the whole table.
+    """
     keys = tuple(
         ResolvedColumn(table="t", effective="t", column=f"c{index}", ctype=ColumnType.NUMBER)
         for index in range(len(columns))
     )
+    if indices is not None:
+        indices = np.asarray(indices, dtype=np.intp)
     batch = _Batch(
-        len(columns[0]),
+        len(columns[0]) if indices is None else indices.size,
         {
-            key.key(): _LazyColumn(build_typed_column(list(values)))
+            key.key(): _LazyColumn(build_typed_column(list(values)), indices)
             for key, values in zip(keys, columns)
         },
     )
@@ -85,8 +95,10 @@ def scalar_group_ids(*columns):
     return gid, first_rows, len(groups)
 
 
-def assert_same_groups(*columns):
-    gid, first_rows, count = engine_group_ids(*columns)
+def assert_same_groups(*columns, indices=None):
+    gid, first_rows, count = engine_group_ids(*columns, indices=indices)
+    if indices is not None:
+        columns = [[values[index] for index in indices] for values in columns]
     exp_gid, exp_first, exp_count = scalar_group_ids(*columns)
     assert count == exp_count
     assert gid.tolist() == exp_gid
@@ -132,6 +144,81 @@ class TestGroupEncode:
         shared = NAN
         values = [shared, 1.0, "one", shared, float("nan"), 1, None, "one", float("nan")]
         assert_same_groups(values)
+
+    def test_only_text_and_nan_free_number_columns_cache_codes(self):
+        assert build_typed_column(["a", None, "b"]).group_codes is not None
+        assert build_typed_column([1, None, 2.5, True]).group_codes is not None
+        assert build_typed_column([None, None]).group_codes is not None
+        assert build_typed_column([1.0, NAN]).group_codes is None
+        assert build_typed_column([1, "one"]).group_codes is None
+
+    def test_cached_codes_are_built_once_per_column(self):
+        column = build_typed_column(["x", "y", None, "x"])
+        codes, count = column.group_codes
+        assert column.group_codes[0] is codes
+        assert codes.tolist() == [0, 1, 2, 0]
+        assert count == 3
+
+    def test_selection_dropping_every_row_of_a_value(self):
+        rng = random.Random(21)
+        numbers = [None if rng.random() < 0.1 else rng.randrange(9) for _ in range(300)]
+        texts = [rng.choice(["a", "b", "B", None]) for _ in range(300)]
+        # a filter that drops every 3 and every "b" row
+        for values, dropped in ((numbers, 3), (texts, "b")):
+            indices = [row for row, value in enumerate(values) if value != dropped]
+            assert_same_groups(values, indices=indices)
+        indices = [row for row in range(300) if numbers[row] != 3 and texts[row] != "b"]
+        assert_same_groups(numbers, texts, indices=indices)
+
+    def test_empty_selection(self):
+        gid, first_rows, count = engine_group_ids([1, 2, 2], ["a", "b", "a"], indices=[])
+        assert (gid.size, first_rows.size, count) == (0, 0, 0)
+        assert_same_groups([1, 2, 2], ["a", "b", "a"], indices=[])
+
+    def test_repeated_indices_as_a_join_produces(self):
+        rng = random.Random(5)
+        numbers = [rng.randrange(4) for _ in range(40)]
+        texts = [None if rng.random() < 0.2 else f"k{rng.randrange(5)}" for _ in range(40)]
+        # probe-major pairs: each build row repeated once per matching probe
+        indices = sorted(rng.randrange(40) for _ in range(200))
+        rng.shuffle(indices)
+        assert_same_groups(numbers, indices=indices)
+        assert_same_groups(texts, indices=indices)
+        assert_same_groups(numbers, texts, indices=indices)
+
+    def test_three_keys_whose_code_product_outgrows_the_batch(self):
+        # 30 selected rows, 12 x 15 x 20 code values: the combined range is
+        # renumbered densely rather than given 3,600 first-occurrence slots
+        rng = random.Random(17)
+        key_a = [rng.randrange(11) for _ in range(600)]
+        key_b = [f"v{rng.randrange(15)}" for _ in range(600)]
+        key_c = [None if rng.random() < 0.1 else float(rng.randrange(19)) for _ in range(600)]
+        indices = sorted(rng.sample(range(600), 30))
+        assert_same_groups(key_a, key_b, key_c, indices=indices)
+        assert_same_groups(key_a, key_b, key_c)
+
+    def test_mixed_number_types_share_a_group_through_a_selection(self):
+        values = [1, 7, 1.0, True, -0.0, 0.0, False, 0, None, 2.5, 1]
+        indices = [9, 1, 3, 2, 0, 5, 4, 8, 6, 3, 10]
+        assert_same_groups(values, indices=indices)
+        # {1, 1.0, True}, {-0.0, 0.0, False, 0}, {7}, {2.5}, {None}
+        assert engine_group_ids(values, indices=indices)[2] == 5
+
+    def test_nan_and_object_keys_encode_per_batch_through_a_selection(self):
+        shared = NAN
+        nan_keys = [shared, 1.0, float("nan"), shared, None, 2.0, 1]
+        object_keys = [1, "one", None, "one", 1.0, (1, 2), 2]
+        indices = [6, 0, 3, 3, 2, 5, 1, 4]
+        assert_same_groups(nan_keys, indices=indices)
+        assert_same_groups(object_keys, indices=indices)
+        assert_same_groups(nan_keys, object_keys, ["a"] * 7, indices=indices)
+
+    def test_unhashable_key_values_raise_type_error_through_a_selection(self):
+        values = [[1], 2, [1], "x"]
+        with pytest.raises(TypeError):
+            engine_group_ids(values, indices=[2, 0, 3])
+        with pytest.raises(TypeError):
+            engine_group_ids([1, 2, 1, 3], values, indices=[2, 0, 3])
 
 
 # -- grouped aggregates ------------------------------------------------------
@@ -196,6 +283,21 @@ class TestGroupedAggregateKernel:
         column = build_typed_column(rng.integers(0, 8, size=400).astype(float).tolist())
         gid = np.asarray(rng.integers(0, 4, size=400), dtype=np.intp)
         assert_kernel_matches_fold(name, column, gid, 4, distinct=True)
+
+    @pytest.mark.parametrize("name", ("MIN", "MAX"))
+    @pytest.mark.parametrize("group_count", (1, 40))
+    def test_tied_extremes_keep_the_first_rows_object(self, name, group_count):
+        # 2 == 2.0 == ... ties everywhere: the fold keeps the first tied
+        # row's object, so an int and a float of one value must not swap
+        rng = random.Random(group_count)
+        column = build_typed_column(
+            [
+                None if rng.random() < 0.1 else rng.choice((int, float, bool))(rng.randrange(2))
+                for _ in range(500)
+            ]
+        )
+        gid = np.asarray([rng.randrange(group_count) for _ in range(500)], dtype=np.intp)
+        assert_kernel_matches_fold(name, column, gid, group_count)
 
     @pytest.mark.parametrize(
         "name, distinct",

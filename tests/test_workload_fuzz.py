@@ -16,6 +16,7 @@ import weakref
 
 import pytest
 
+import repro.database.typed as typed_module
 import repro.executor.columnar as columnar_module
 from repro.dvq import parse_dvq, serialize_dvq
 from repro.dvq.nodes import Condition
@@ -335,3 +336,66 @@ class TestSortHeavySweeps:
         assert not rows_agree([(nan,)], [(2.0,)])
         assert not rows_agree([(nan,)], [])
         assert rows_agree([], [])
+
+
+def _group_by_queries(database, count):
+    """The first ``count`` GROUP BY queries of a join- and filter-heavy
+    stream: ``(seed, query)`` pairs, a pure function of the database."""
+    cache = weakref.WeakKeyDictionary()
+    queries = []
+    seed = 0
+    while len(queries) < count:
+        query = WorkloadGenerator(
+            seed=seed,
+            join_probability=0.6,
+            where_probability=0.8,
+            stats_cache=cache,
+        ).generate(database)
+        if query.group_by:
+            queries.append((seed, query))
+        seed += 1
+    return queries
+
+
+class TestGroupHeavySweep:
+    """GROUP BY queries, each run with cold and then warm group codes.
+
+    Cold means every table's typed store was just dropped, so the run builds
+    the key columns' cached codes; the warm run reads them.  Both must match
+    the interpreter oracle, and the warm run must build nothing.
+    """
+
+    def test_cold_and_warm_codes_match_the_interpreter(self, database, monkeypatch):
+        built = []
+        real_build = typed_module.build_group_codes
+
+        def spy_build(column):
+            built.append(column)
+            return real_build(column)
+
+        monkeypatch.setattr(typed_module, "build_group_codes", spy_build)
+        interpreter = InterpreterBackend()
+        engine = ColumnarBackend()
+        tables = [database.table(table.name) for table in database.schema.tables]
+        queries = _group_by_queries(database, 120)
+        cached_answers = 0
+        for seed, query in queries:
+            for table in tables:
+                table.refresh_columns()
+            expected = interpreter.execute(query, database)
+            builds_before = len(built)
+            for run in ("cold", "warm"):
+                result = engine.execute(query, database)
+                context = f"seed {seed}, {run} codes: {serialize_dvq(query)}"
+                assert result.columns == expected.columns, context
+                assert rows_agree(expected.rows, result.rows), context
+                if run == "cold":
+                    builds_cold = len(built)
+            assert len(built) == builds_cold, f"seed {seed}: the warm run rebuilt codes"
+            cached_answers += builds_cold > builds_before
+        assert sum(1 for _, query in queries if query.joins) >= 20
+        assert sum(1 for _, query in queries if query.where is not None) >= 40
+        # most keys are text or NaN-free number columns: their cached codes
+        # answered, rather than the per-batch encoding
+        assert cached_answers >= 100, cached_answers
+
