@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,9 +39,21 @@ class EmbedderConfig:
     seed: int = 13
 
 
-def _stable_hash(token: str, seed: int) -> int:
-    digest = hashlib.blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+#: term -> (vector slot, signed IDF weight), keyed by the raw word or gram.
+_TermTable = Dict[str, Tuple[int, float]]
+
+#: The two feature kinds in vector order: the prefix of their IDF keys
+#: (``w:salary``, ``c:sal``) and the term frequency one occurrence adds.
+_PREFIXES = ("w", "c")
+_UNITS = (1.0, 0.5)
+
+
+def _slot(prefixed: "hashlib._Hash", term: str, dimensions: int) -> Tuple[int, float]:
+    """Vector index and sign of ``term`` from a hasher already fed its kind's prefix."""
+    hasher = prefixed.copy()
+    hasher.update(term.encode("utf-8"))
+    hashed = int.from_bytes(hasher.digest(), "little")
+    return hashed % dimensions, (1.0 if (hashed >> 62) & 1 == 0 else -1.0)
 
 
 class TextEmbedder:
@@ -50,6 +63,16 @@ class TextEmbedder:
         self.config = config
         self._idf: Dict[str, float] = {}
         self._fitted = False
+        # (words, grams) built from ``_idf`` and read-only afterwards: a
+        # re-fit builds new tables and swaps them in with one assignment, so
+        # an ``embed`` on another thread sees the old pair or the new one
+        self._terms: Tuple[_TermTable, _TermTable] = ({}, {})
+        # a term's slot is blake2b("{seed}:{kind}:{term}"); each kind's hasher
+        # is fed its prefix once and copied per term, never updated in place
+        self._hashers = tuple(
+            hashlib.blake2b(f"{config.seed}:{prefix}:".encode("utf-8"), digest_size=8)
+            for prefix in _PREFIXES
+        )
         #: Number of texts embedded so far (one per ``embed`` call, the batch
         #: size per ``embed_batch`` call).  Index snapshots are asserted
         #: against this counter: loading a persisted library must not embed.
@@ -60,17 +83,17 @@ class TextEmbedder:
 
     # -- feature extraction ------------------------------------------------
 
+    def _counts(self, text: str) -> Tuple["Counter[str]", "Counter[str]"]:
+        """Word and character n-gram counts of ``text``, each in first-seen order."""
+        words = Counter(word_tokens(text)) if self.config.use_words else Counter()
+        grams = Counter(char_ngrams(text, self.config.char_n)) if self.config.char_n else Counter()
+        return words, grams
+
     def features(self, text: str) -> Dict[str, float]:
-        """Raw term-frequency features of ``text``."""
+        """Raw term-frequency features of ``text`` (a word counts 1, a gram 0.5)."""
         counts: Dict[str, float] = {}
-        if self.config.use_words:
-            for token in word_tokens(text):
-                key = f"w:{token}"
-                counts[key] = counts.get(key, 0.0) + 1.0
-        if self.config.char_n:
-            for gram in char_ngrams(text, self.config.char_n):
-                key = f"c:{gram}"
-                counts[key] = counts.get(key, 0.0) + 0.5
+        for prefix, unit, kind_counts in zip(_PREFIXES, _UNITS, self._counts(text)):
+            counts.update((f"{prefix}:{term}", count * unit) for term, count in kind_counts.items())
         return counts
 
     # -- fitting -----------------------------------------------------------
@@ -87,8 +110,20 @@ class TextEmbedder:
             term: math.log((1 + total_documents) / (1 + frequency)) + 1.0
             for term, frequency in document_frequency.items()
         }
+        self._terms = self._term_tables(self._idf)
         self._fitted = True
         return self
+
+    def _term_tables(self, idf: Dict[str, float]) -> Tuple[_TermTable, _TermTable]:
+        """Slot and signed weight of every fitted term, split into words and grams."""
+        tables: Tuple[_TermTable, _TermTable] = ({}, {})
+        for term, weight in idf.items():
+            prefix, _, raw = term.partition(":")
+            if prefix in _PREFIXES:
+                kind = _PREFIXES.index(prefix)
+                slot, sign = _slot(self._hashers[kind], raw, self.config.dimensions)
+                tables[kind][raw] = (slot, sign * weight)
+        return tables
 
     @property
     def is_fitted(self) -> bool:
@@ -122,6 +157,7 @@ class TextEmbedder:
             )
         )
         embedder._idf = {str(term): float(value) for term, value in dict(state.get("idf", {})).items()}
+        embedder._terms = embedder._term_tables(embedder._idf)
         embedder._fitted = bool(state.get("fitted", False))
         return embedder
 
@@ -131,13 +167,27 @@ class TextEmbedder:
         """Embed one text into a unit-norm vector of ``config.dimensions``."""
         with self._counter_lock:
             self.texts_embedded += 1
-        vector = np.zeros(self.config.dimensions, dtype=np.float64)
-        for term, frequency in self.features(text).items():
-            weight = frequency * self._idf.get(term, 1.0)
-            slot = _stable_hash(term, self.config.seed)
-            index = slot % self.config.dimensions
-            sign = 1.0 if (slot >> 62) & 1 == 0 else -1.0
-            vector[index] += sign * weight
+        dimensions = self.config.dimensions
+        slots: List[int] = []
+        values: List[float] = []
+        for table, hasher, unit, counts in zip(
+            self._terms, self._hashers, _UNITS, self._counts(text)
+        ):
+            for term, count in counts.items():
+                entry = table.get(term)
+                if entry is None:
+                    # a term the fit never saw weighs 1: hashed on every
+                    # call and never stored, so nothing grows with traffic
+                    entry = _slot(hasher, term, dimensions)
+                slots.append(entry[0])
+                # count x unit is the exact term frequency, and times +-idf
+                # it is bit-equal to sign x (frequency x idf)
+                values.append(count * unit * entry[1])
+        # bincount adds in input order from +0.0, like a per-term loop
+        vector = np.bincount(
+            np.array(slots, dtype=np.intp), np.array(values, dtype=np.float64),
+            minlength=dimensions,
+        )
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector /= norm
@@ -152,10 +202,3 @@ class TextEmbedder:
     def similarity(self, left: str, right: str) -> float:
         """Cosine similarity of two texts in [-1, 1]."""
         return float(np.dot(self.embed(left), self.embed(right)))
-
-
-def cosine_similarity_matrix(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities between two stacks of unit-norm vectors."""
-    if queries.ndim == 1:
-        queries = queries[None, :]
-    return queries @ corpus.T

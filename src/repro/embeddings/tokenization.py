@@ -6,6 +6,7 @@ import re
 from typing import List
 
 _WORD_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?")
+_CAMEL_PATTERN = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
 
 #: A small English stop-word list; schema words are never stop words.
 STOP_WORDS = frozenset(
@@ -25,13 +26,14 @@ def word_tokens(text: str, lowercase: bool = True, split_identifiers: bool = Tru
     relate questions to schema tokens the same way sub-word models do.
     """
     tokens: List[str] = []
-    for match in _WORD_PATTERN.finditer(text):
-        token = match.group(0)
-        if lowercase:
-            token = token.lower()
-        tokens.append(token)
-        if split_identifiers:
-            parts = split_identifier(match.group(0))
+    for token in _WORD_PATTERN.findall(text):
+        tokens.append(token.lower() if lowercase else token)
+        # a token of letters in one case or capitalised is one camel part
+        # (``salary``, ``SALARY``, ``Salary``), so it has nothing to split
+        if split_identifiers and not (
+            token.isalpha() and (token.islower() or token.isupper() or token.istitle())
+        ):
+            parts = split_identifier(token)
             if len(parts) > 1:
                 tokens.extend(part.lower() if lowercase else part for part in parts)
     return tokens
@@ -48,7 +50,7 @@ def split_identifier(identifier: str) -> List[str]:
 
 
 def _split_camel(chunk: str) -> List[str]:
-    parts = re.findall(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+", chunk)
+    parts = _CAMEL_PATTERN.findall(chunk)
     return parts if parts else [chunk]
 
 

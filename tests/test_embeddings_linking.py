@@ -1,13 +1,98 @@
 """Tests for the embedding substrate and the schema linker."""
 
+import hashlib
+import json
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import GRED, GREDConfig
 from repro.embeddings import EmbedderConfig, TextEmbedder, VectorStore
-from repro.embeddings.tokenization import char_ngrams, content_words, split_identifier, word_tokens
+from repro.embeddings.tokenization import (
+    STOP_WORDS,
+    char_ngrams,
+    content_words,
+    split_identifier,
+    word_tokens,
+)
 from repro.linking import LinkCandidate, SchemaLinker
 from repro.robustness.variants import VariantKind
+
+# -- the per-term embedder, kept as the oracle ------------------------------
+
+_REFERENCE_WORD_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?")
+
+
+def reference_word_tokens(text, lowercase=True, split_identifiers=True):
+    """``word_tokens`` with every token passed through ``split_identifier``."""
+    tokens = []
+    for match in _REFERENCE_WORD_PATTERN.finditer(text):
+        token = match.group(0)
+        if lowercase:
+            token = token.lower()
+        tokens.append(token)
+        if split_identifiers:
+            parts = split_identifier(match.group(0))
+            if len(parts) > 1:
+                tokens.extend(part.lower() if lowercase else part for part in parts)
+    return tokens
+
+
+def reference_features(config, text):
+    """Prefixed term frequencies, summed one occurrence at a time."""
+    counts = {}
+    if config.use_words:
+        for token in reference_word_tokens(text):
+            key = f"w:{token}"
+            counts[key] = counts.get(key, 0.0) + 1.0
+    if config.char_n:
+        for gram in char_ngrams(text, config.char_n):
+            key = f"c:{gram}"
+            counts[key] = counts.get(key, 0.0) + 0.5
+    return counts
+
+
+def _reference_hash(term, seed):
+    digest = hashlib.blake2b(f"{seed}:{term}".encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+def reference_embed(config, idf, text):
+    """Hash every term with blake2b and add ``sign x frequency x idf`` into its slot."""
+    vector = np.zeros(config.dimensions, dtype=np.float64)
+    for term, frequency in reference_features(config, text).items():
+        weight = frequency * idf.get(term, 1.0)
+        slot = _reference_hash(term, config.seed)
+        index = slot % config.dimensions
+        sign = 1.0 if (slot >> 62) & 1 == 0 else -1.0
+        vector[index] += sign * weight
+    norm = np.linalg.norm(vector)
+    if norm > 0:
+        vector /= norm
+    return vector
+
+
+class ReferenceEmbedder(TextEmbedder):
+    """A ``TextEmbedder`` that fits as usual but embeds with :func:`reference_embed`."""
+
+    def embed(self, text):
+        with self._counter_lock:
+            self.texts_embedded += 1
+        return reference_embed(self.config, self.to_state()["idf"], text)
+
+
+def assert_matches_reference(embedder, texts):
+    idf = embedder.to_state()["idf"]
+    for text in texts:
+        vector = embedder.embed(text)
+        assert vector.tobytes() == reference_embed(embedder.config, idf, text).tobytes(), text
+        features, expected = embedder.features(text), reference_features(embedder.config, text)
+        assert list(features.items()) == list(expected.items()), text
+        assert [type(value) for value in features.values()] == [float] * len(expected), text
 
 
 class TestTokenization:
@@ -28,6 +113,31 @@ class TestTokenization:
         assert char_ngrams("a", n=3) == ["#a#"]
         grams = char_ngrams("salary", n=3)
         assert grams[0].startswith("#") and grams[-1].endswith("#")
+
+
+#: Letters of both cases, ASCII and Arabic-Indic digits, a superscript digit
+#: (``\d`` does not match it), a non-ASCII letter and the separators
+#: ``_``, ``.`` and space, so decimals such as ``1.5`` and ``١.٢`` occur.
+IDENTIFIER_ALPHABET = "abzABZ0159_. ١٢٣²é"
+
+
+class TestWordTokensShortcut:
+    """``word_tokens`` skips ``split_identifier`` for tokens that cannot split."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.from_regex(r"[A-Za-z]{1,12}", fullmatch=True))
+    def test_only_one_case_or_capitalised_letters_stay_whole(self, token):
+        one_part = token.islower() or token.isupper() or token.istitle()
+        assert (split_identifier(token) == [token]) == one_part
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=IDENTIFIER_ALPHABET, max_size=24) | st.text(max_size=40))
+    def test_tokens_match_splitting_every_token(self, text):
+        for lowercase in (True, False):
+            for split_identifiers in (True, False):
+                assert word_tokens(text, lowercase, split_identifiers) == reference_word_tokens(
+                    text, lowercase, split_identifiers
+                )
 
 
 class TestTextEmbedder:
@@ -68,6 +178,149 @@ class TestTextEmbedder:
         vector = TextEmbedder(EmbedderConfig(dimensions=32)).embed(text)
         assert vector.shape == (32,)
         assert np.all(np.isfinite(vector))
+
+
+#: Both widths, words off, grams off and unigrams (with another seed).
+ORACLE_CONFIGS = [
+    EmbedderConfig(),
+    EmbedderConfig(dimensions=16),
+    EmbedderConfig(dimensions=16, use_words=False),
+    EmbedderConfig(char_n=0),
+    EmbedderConfig(dimensions=512, char_n=1, seed=5),
+]
+
+
+@pytest.fixture(scope="module")
+def corpus_texts(small_dataset, robustness_suite):
+    """(training texts, query texts): the perturbed questions bring unseen terms."""
+    train = [example.nlq for example in small_dataset.train]
+    train += [example.dvq for example in small_dataset.train]
+    queries = [
+        text
+        for kind in VariantKind
+        for example in robustness_suite.variant(kind).examples
+        for text in (example.nlq, example.dvq)
+    ]
+    return train, queries
+
+
+@pytest.fixture(scope="module")
+def oracle_embedders(corpus_texts):
+    """A fitted, a restored and an unfitted embedder for every oracle config."""
+    train, _ = corpus_texts
+    embedders = []
+    for config in ORACLE_CONFIGS:
+        fitted = TextEmbedder(config).fit(train)
+        restored = TextEmbedder.from_state(json.loads(json.dumps(fitted.to_state())))
+        embedders.extend([fitted, restored, TextEmbedder(config)])
+    return embedders
+
+
+class TestEmbedderMatchesReference:
+    """The term table and one-pass counting leave every vector bit-identical."""
+
+    def test_corpus_texts(self, oracle_embedders, corpus_texts):
+        train, queries = corpus_texts
+        for embedder in oracle_embedders:
+            assert_matches_reference(embedder, train[::4] + queries)
+
+    def test_corpus_word_tokens(self, corpus_texts):
+        for text in corpus_texts[0] + corpus_texts[1]:
+            assert word_tokens(text) == reference_word_tokens(text)
+            assert content_words(text) == [
+                token for token in reference_word_tokens(text) if token not in STOP_WORDS
+            ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=60))
+    def test_any_text(self, oracle_embedders, text):
+        for embedder in oracle_embedders:
+            assert_matches_reference(embedder, [text])
+
+    def test_refit_replaces_the_table(self, corpus_texts):
+        train, queries = corpus_texts
+        embedder = TextEmbedder().fit(train[::2])
+        first = [embedder.embed(text) for text in queries[:60]]
+        embedder.fit(train[1::2])
+        assert_matches_reference(embedder, queries[:60])
+        assert any(
+            not np.array_equal(before, embedder.embed(text))
+            for before, text in zip(first, queries[:60])
+        )
+
+    def test_concurrent_refits_swap_whole_tables(self, corpus_texts):
+        train, queries = corpus_texts
+        # small fits, so that many swaps land while the workers embed
+        halves, texts = (train[:24:2], train[1:24:2]), queries[:12]
+        embedder = TextEmbedder(EmbedderConfig(dimensions=64))
+        expected = []
+        for half in halves:
+            embedder.fit(half)
+            expected.append({text: embedder.embed(text).tobytes() for text in texts})
+        torn, stop, rounds, workers = [], threading.Event(), 20, 4
+
+        def refit():
+            for fits in range(10_000):
+                if stop.is_set():
+                    return
+                embedder.fit(halves[fits % 2])
+
+        def embed():
+            for _ in range(rounds):
+                for text in texts:
+                    if embedder.embed(text).tobytes() not in (expected[0][text], expected[1][text]):
+                        torn.append(text)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            refitter = threading.Thread(target=refit)
+            embedders = [threading.Thread(target=embed) for _ in range(workers)]
+            refitter.start()
+            for thread in embedders:
+                thread.start()
+            for thread in embedders:
+                thread.join(timeout=120)
+            stop.set()
+            refitter.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not refitter.is_alive() and not any(thread.is_alive() for thread in embedders)
+        assert torn == []
+        assert embedder.texts_embedded == len(texts) * (len(halves) + rounds * workers)
+
+
+class TestGREDTracesMatchReferenceEmbedder:
+    """GRED with the production embedder traces exactly like one on the oracle."""
+
+    def test_traces_and_hits(self, small_dataset, robustness_suite):
+        config = GREDConfig(verify_execution=True, max_repair_rounds=2)
+        production, reference = GRED(config), GRED(config)
+        reference.retriever.embedder = ReferenceEmbedder(reference.retriever.embedder.config)
+        for gred in (production, reference):
+            gred.fit(small_dataset.train, small_dataset.catalog)
+        catalog = robustness_suite.catalog
+        questions, dvqs = [], []
+        for kind in VariantKind:
+            for example in robustness_suite.variant(kind).examples:
+                database = catalog.get(example.db_id)
+                got = production.trace(example.nlq, database)
+                want = reference.trace(example.nlq, database)
+                assert got.records == want.records
+                assert (got.final, got.executes) == (want.final, want.executes)
+                questions.append(example.nlq)
+                dvqs.extend([example.dvq] + [record.dvq for record in got.records])
+        assert production.retriever.embedder.texts_embedded == (
+            reference.retriever.embedder.texts_embedded
+        )
+
+        def hits(gred, store, query):
+            found = getattr(gred.retriever, store).search(query, top_k=10)
+            return [(hit.key, hit.score) for hit in found]
+
+        for store, queries in (("nlq_store", questions), ("dvq_store", dvqs)):
+            for query in queries:
+                assert hits(production, store, query) == hits(reference, store, query)
 
 
 class TestVectorStore:
