@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-diff bench bench-index bench-index-check bench-plan bench-plan-check bench-vector bench-vector-check bench-aqp bench-aqp-check bench-sort bench-sort-check bench-summary bench-paper-scale perfbench-check perfbench-smoke fuzz fuzz-check quickstart lint
+.PHONY: test test-fast test-diff bench bench-index bench-index-check bench-plan bench-plan-check bench-vector bench-vector-check bench-sort bench-sort-check bench-summary bench-paper-scale perfbench-check perfbench-smoke fuzz fuzz-check quickstart lint
 
 test:            ## tier-1 suite (tests/ + benchmarks/, fail fast)
 	$(PYTHON) -m pytest -x -q
@@ -35,12 +35,6 @@ bench-vector:    ## vectorized-kernel benchmark: >=10x bar over the scalar colum
 
 bench-vector-check: ## vector benchmark correctness assertions only (no timing bar; used by CI)
 	$(PYTHON) -m pytest benchmarks -q -m vector -k "not at_least_10x"
-
-bench-aqp:       ## AQP benchmark: >=10x bar over exact columnar at 1M rows, errors <=5% (-m aqp)
-	$(PYTHON) -m pytest benchmarks -q -s -m aqp
-
-bench-aqp-check: ## AQP benchmark correctness assertions only (no timing bar; used by CI)
-	$(PYTHON) -m pytest benchmarks -q -m aqp -k "not at_least_10x"
 
 bench-sort:      ## sort/top-k benchmark: >=5x bar over the scalar sort path at 1M rows (-m sort)
 	$(PYTHON) -m pytest benchmarks -q -s -m sort

@@ -9,7 +9,7 @@ diffed across commits, at a glance:
 
     $ make bench-summary
     benchmark   speedup   rows       queries   baseline -> best
-    aqp         17.91x    1,000,000  6         exact 1.356s -> approximate 0.076s
+    index       4.64x     50,000     256       exact 0.778s -> partitioned 0.168s
     ...
 
 Unknown keys are preserved in a trailing notes column, so new benchmarks

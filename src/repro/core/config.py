@@ -51,14 +51,6 @@ class GREDConfig:
             on the calling thread; batch whole traces with a
             :class:`~repro.runtime.runner.BatchRunner` instead.  Only
             meaningful with ``verify_execution`` or ``max_repair_rounds > 0``.
-        approximate_execution: enable sampling-based approximate query
-            processing on the columnar backend: eligible aggregate/bin
-            queries are answered from a precomputed seeded row sample with
-            scale-up and CLT error bounds (see :mod:`repro.plan.sampling`),
-            making large-table charts near-instant.  Ineligible queries
-            (MIN/MAX/DISTINCT, top-k, small tables) silently run exact.
-            Off by default because repair loops and metrics expect exact
-            rows.  Ignored by the other backends.
         index: retrieval-index configuration for the NLQ/DVQ libraries
             (:class:`~repro.index.IndexConfig`): the search backend
             (``"exact"`` brute force — the default — or ``"partitioned"``
@@ -85,7 +77,6 @@ class GREDConfig:
     llm_cache_max_entries: Optional[int] = None
     verify_execution: bool = False
     execution_backend: str = "columnar"
-    approximate_execution: bool = False
     index: IndexConfig = field(default_factory=IndexConfig)
     max_repair_rounds: int = 0
 

@@ -176,9 +176,7 @@ class GRED(TextToVisModel):
         self.retuner: Optional[DVQRetrievalRetuner] = None
         self.debugger: Optional[AnnotationBasedDebugger] = None
         self.execution_backend: Optional[ExecutionBackend] = (
-            resolve_backend(
-                config.execution_backend, approximate=config.approximate_execution
-            )
+            resolve_backend(config.execution_backend)
             if config.verify_execution or config.max_repair_rounds > 0
             else None
         )

@@ -59,10 +59,6 @@ class GREDRetriever:
         self.nlq_store: Optional[VectorStore] = None
         self.dvq_store: Optional[VectorStore] = None
 
-    @property
-    def is_prepared(self) -> bool:
-        return self.nlq_store is not None and self.dvq_store is not None
-
     def _corpus_digest(self, examples: Sequence[NVBenchExample]) -> str:
         """Fingerprint of everything that shapes the libraries' contents."""
         hasher = hashlib.sha1()

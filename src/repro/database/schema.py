@@ -17,14 +17,6 @@ class ColumnType(enum.Enum):
     DATE = "date"
     BOOLEAN = "boolean"
 
-    @property
-    def is_quantitative(self) -> bool:
-        return self in (ColumnType.NUMBER,)
-
-    @property
-    def is_temporal(self) -> bool:
-        return self is ColumnType.DATE
-
 
 @dataclass(frozen=True)
 class Column:
@@ -163,15 +155,6 @@ class DatabaseSchema:
 
     def column_count(self) -> int:
         return sum(len(table.columns) for table in self.tables)
-
-    def find_column(self, column_name: str) -> List[Tuple[str, Column]]:
-        """All (table, column) pairs whose column name matches case-insensitively."""
-        lowered = column_name.lower()
-        return [
-            (table_name, column)
-            for table_name, column in self.all_columns()
-            if column.name.lower() == lowered
-        ]
 
     def join_graph(self) -> nx.Graph:
         """Undirected graph over tables with foreign keys as edges.

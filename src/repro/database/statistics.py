@@ -4,9 +4,8 @@ These are the classic summaries cardinality estimation needs — row and null
 counts, number of distinct values (NDV), min/max, an equi-depth histogram and
 a small most-common-values (MCV) list per column.  They started life in
 :mod:`repro.workload.stats` driving the workload generator; the cost model
-(:mod:`repro.plan.cost`) and the sampling rewrite (:mod:`repro.plan.sampling`)
-now consume the same summaries, so the collectors live here in the engine and
-the workload module re-exports them.
+(:mod:`repro.plan.cost`) now consumes the same summaries, so the collectors
+live here in the engine and the workload module re-exports them.
 
 Two collectors share the :class:`ColumnStatistics` shape:
 

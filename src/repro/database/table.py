@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.database.schema import TableSchema
 from repro.database.statistics import (
@@ -12,9 +12,6 @@ from repro.database.statistics import (
     fast_column_statistics,
 )
 from repro.database.typed import TypedColumn, build_typed_column
-
-if TYPE_CHECKING:  # pragma: no cover - sampling imports Table for hints only
-    from repro.database.sampling import TableSample
 
 
 class Table:
@@ -33,9 +30,6 @@ class Table:
         self._typed_store: Optional[Dict[str, TypedColumn]] = None
         self._column_statistics: Dict[str, ColumnStatistics] = {}
         self._statistics: Optional[TableStatistics] = None
-        self._samples: Dict[
-            Tuple[str, Optional[str], float, int], Optional["TableSample"]
-        ] = {}
         # Guards cache build/invalidate: evaluation and fuzz threads sharing one
         # Table can otherwise race a half-built store against
         # refresh_columns()/insert().
@@ -83,7 +77,6 @@ class Table:
             self._typed_store = None
             self._column_statistics.clear()
             self._statistics = None
-            self._samples.clear()
 
     def extend(self, rows: Iterable[Dict[str, object]]) -> None:
         for row in rows:
@@ -181,33 +174,6 @@ class Table:
                     self._statistics = stats
         return stats
 
-    def sample(
-        self,
-        kind: str = "uniform",
-        key: Optional[str] = None,
-        fraction: float = 0.05,
-        seed: int = 0,
-    ) -> Optional["TableSample"]:
-        """A precomputed seeded row sample (see :mod:`repro.database.sampling`).
-
-        Cached by ``(kind, key, fraction, seed)`` under the store lock and
-        invalidated by :meth:`insert` / :meth:`refresh_columns`, so the AQP
-        path pays the permutation cost once per table per sample shape.
-        Returns ``None`` when a keyed sample declines (too many strata); the
-        decline is cached too.
-        """
-        from repro.database.sampling import build_table_sample
-
-        canonical = self.canonical_column(key) if key is not None else None
-        cache_key = (kind, canonical, fraction, seed)
-        if cache_key not in self._samples:
-            with self._store_lock:
-                if cache_key not in self._samples:
-                    self._samples[cache_key] = build_table_sample(
-                        self, kind=kind, key=canonical, fraction=fraction, seed=seed
-                    )
-        return self._samples[cache_key]
-
     def refresh_columns(self) -> None:
         """Drop the cached columnar views (call after in-place row mutation)."""
         with self._store_lock:
@@ -215,7 +181,6 @@ class Table:
             self._typed_store = None
             self._column_statistics.clear()
             self._statistics = None
-            self._samples.clear()
 
     def distinct_values(self, name: str) -> List[object]:
         """Distinct non-null values of a column, preserving first-seen order."""
@@ -227,11 +192,6 @@ class Table:
             seen.add(value)
             values.append(value)
         return values
-
-    def select_rows(self, columns: Sequence[str]) -> List[Dict[str, object]]:
-        """Project rows onto ``columns`` (canonical names preserved)."""
-        canonical = [self.canonical_column(column) for column in columns]
-        return [{name: row[name] for name in canonical} for row in self._rows]
 
     def rename_columns(self, renames: Dict[str, str]) -> "Table":
         """Return a new table whose schema and rows use the renamed columns."""

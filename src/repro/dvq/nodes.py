@@ -93,9 +93,6 @@ class ColumnRef:
         """Case-insensitive comparison key (unqualified)."""
         return self.column.lower()
 
-    def with_column(self, column: str) -> "ColumnRef":
-        return replace(self, column=column)
-
 
 @dataclass(frozen=True)
 class AggregateExpr:

@@ -35,10 +35,6 @@ class _TokenStream:
     def current(self) -> Token:
         return self._tokens[self._index]
 
-    def peek(self, offset: int = 1) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
     def advance(self) -> Token:
         token = self.current
         if token.type is not TokenType.EOF:
@@ -269,13 +265,27 @@ def _parse_value_list(stream: _TokenStream) -> List[object]:
     return values
 
 
+def _int_value(token: Token) -> int:
+    """The integer a dot-free NUMBER token spells.
+
+    The tokenizer admits only decimal digits, but ``int()`` still refuses
+    more of them than ``sys.get_int_max_str_digits()`` (4,300 by default).
+    """
+    try:
+        return int(token.value)
+    except ValueError as exc:
+        raise DVQParseError(
+            f"Number literal of {len(token.value)} characters is too long", token=token
+        ) from exc
+
+
 def _parse_literal(stream: _TokenStream) -> object:
     token = stream.current
     if token.type is TokenType.NUMBER:
         stream.advance()
         if "." in token.value:
             return float(token.value)
-        return int(token.value)
+        return _int_value(token)
     if token.type is TokenType.STRING:
         stream.advance()
         return token.value
@@ -322,7 +332,7 @@ def _parse_limit(stream: _TokenStream) -> Optional[int]:
         raise DVQParseError(
             f"LIMIT expects a non-negative integer, found {token.lexeme!r}", token=keyword
         )
-    return int(token.value)
+    return _int_value(token)
 
 
 def _parse_bin(stream: _TokenStream) -> Optional[BinClause]:

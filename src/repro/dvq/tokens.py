@@ -163,7 +163,7 @@ def _iter_tokens(text: str) -> Iterator[Token]:
                 break
         if matched_operator is None and char in _SINGLE_OPERATORS:
             # a leading minus can start a negative number literal
-            if char == "-" and index + 1 < length and text[index + 1].isdigit():
+            if char == "-" and index + 1 < length and text[index + 1].isdecimal():
                 matched_operator = None
             else:
                 matched_operator = char
@@ -171,12 +171,18 @@ def _iter_tokens(text: str) -> Iterator[Token]:
             yield Token(TokenType.OPERATOR, matched_operator, matched_operator, index)
             index += len(matched_operator)
             continue
-        if char.isdigit() or (char == "-" and index + 1 < length and text[index + 1].isdigit()):
+        # a number is decimal digits, which int()/float() accept (a superscript
+        # "²" passes isdigit() but not int()), with at most one "."
+        if char.isdecimal() or (char == "-" and index + 1 < length and text[index + 1].isdecimal()):
             start = index
             index += 1
-            while index < length and (text[index].isdigit() or text[index] == "."):
+            while index < length and (text[index].isdecimal() or text[index] == "."):
                 index += 1
             lexeme = text[start:index]
+            if lexeme.count(".") > 1:
+                raise DVQTokenizeError(
+                    f"Malformed number {lexeme!r} at position {start}", position=start, text=text
+                )
             yield Token(TokenType.NUMBER, lexeme, lexeme, start)
             continue
         if _is_identifier_start(char):
@@ -201,7 +207,8 @@ def tokenize(text: str) -> List[Token]:
 
     Raises:
         DVQTokenizeError: if the text contains characters outside the DVQ
-            alphabet or an unterminated string literal.
+            alphabet, an unterminated string literal or a number with more
+            than one ``.``.
     """
     if text is None:
         raise DVQTokenizeError("Cannot tokenize None")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.dvq.normalize import try_parse
 from repro.evaluation.metrics import (
@@ -79,14 +79,6 @@ class EvaluationRun:
 
     def errors(self) -> List[PredictionRecord]:
         return [record for record in self.records if not record.overall_correct]
-
-    def accuracy_by_hardness(self, examples: Sequence[NVBenchExample]) -> Dict[str, EvaluationResult]:
-        hardness_by_id = {example.example_id: example.hardness for example in examples}
-        grouped: Dict[str, List] = {}
-        for record in self.records:
-            hardness = hardness_by_id.get(record.example_id, "unknown")
-            grouped.setdefault(hardness, []).append((record.predicted, record.target))
-        return {hardness: evaluate_predictions(pairs) for hardness, pairs in grouped.items()}
 
 
 class ModelEvaluator:

@@ -215,7 +215,6 @@ def normalize_result(result: ExecutionResult, query: DVQuery) -> ExecutionResult
         columns=list(result.columns),
         rows=rows,
         chart_type=result.chart_type,
-        approximation=result.approximation,
     )
 
 
@@ -251,18 +250,17 @@ class InterpreterBackend:
 BackendSpec = Union[str, ExecutionBackend]
 
 
-def resolve_backend(spec: BackendSpec, approximate: bool = False) -> ExecutionBackend:
+def resolve_backend(spec: BackendSpec) -> ExecutionBackend:
     """Turn a backend name into an instance.
 
     Accepted names: ``"columnar"`` (the plan-driven columnar engine with
     predicate pushdown — the default everywhere), ``"interpreter"`` (the
     legacy row-at-a-time reference engine) and ``"sqlite"`` (the DVQ->SQL
-    compiler over SQLite).  ``approximate`` toggles the AQP rewrite and only
-    affects the columnar backend.  Other columnar setups are built directly
+    compiler over SQLite).  Other columnar setups are built directly
     (``ColumnarBackend(vectorize=False)``), and backend instances pass
     through unchanged, so callers can hand in a pre-configured (and
-    pre-warmed) backend.  The SQLite and columnar
-    backends are imported lazily to keep this module light.
+    pre-warmed) backend.  The SQLite and columnar backends are imported
+    lazily to keep this module light.
     """
     if not isinstance(spec, str):
         return spec
@@ -270,7 +268,7 @@ def resolve_backend(spec: BackendSpec, approximate: bool = False) -> ExecutionBa
     if name == "columnar":
         from repro.executor.columnar import ColumnarBackend
 
-        return ColumnarBackend(approximate=approximate)
+        return ColumnarBackend()
     if name == "interpreter":
         return InterpreterBackend()
     if name == "sqlite":

@@ -39,7 +39,7 @@ protocol: plan, push predicates down, execute.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,12 +54,7 @@ from repro.database.typed import (
     object_array,
 )
 from repro.dvq.nodes import DVQuery
-from repro.executor.backend import (
-    ExecutionOutcome,
-    canonical_rows,
-    explain_execution,
-    normalize_result,
-)
+from repro.executor.backend import ExecutionOutcome, canonical_rows, explain_execution
 from repro.executor.binning import bin_encode, bin_value
 from repro.executor.errors import ExecutionError
 from repro.executor.executor import ExecutionResult
@@ -86,15 +81,11 @@ from repro.plan.nodes import (
     PlanNode,
     Predicate,
     Project,
-    Sample,
     Scan,
     Sort,
     output_labels,
 )
 from repro.plan.optimizer import optimize
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.plan.sampling import SamplingConfig
 
 #: Batch key of the derived bin-label column (cannot collide with a scan key,
 #: whose first element is a table's effective name).
@@ -200,8 +191,8 @@ def _zip_rows(columns: List[np.ndarray]) -> List[Tuple[object, ...]]:
 
 
 def _scan_of(node: PlanNode) -> Scan:
-    """The base scan under a join input (skipping filters and samples)."""
-    while isinstance(node, (Filter, Sample)):
+    """The base scan under a join input (skipping filters)."""
+    while isinstance(node, Filter):
         node = node.child
     assert isinstance(node, Scan), f"join input is not a scan: {type(node).__name__}"
     return node
@@ -533,8 +524,6 @@ class ColumnarEngine:
     def _batch(self, node: PlanNode, database: Database) -> _Batch:
         if isinstance(node, Scan):
             return self._scan(node, database)
-        if isinstance(node, Sample):
-            return self._sample(node, database)
         if isinstance(node, Filter):
             return self._filter(node, database)
         if isinstance(node, Join):
@@ -552,23 +541,6 @@ class ColumnarEngine:
             for name in node.columns
         }
         return _Batch(len(table), columns)
-
-    def _sample(self, node: Sample, database: Database) -> _Batch:
-        """Restrict the child scan to the table's precomputed row sample.
-
-        The sorted sample row ids become the batch's (lazy) selection, so no
-        column is gathered until an operator reads it.  A keyed sample that
-        declined at build time degrades to the full scan — the AQP rewriter
-        checks buildability up front, so this is a correctness backstop, not
-        an expected path.
-        """
-        batch = self._batch(node.child, database)
-        sample = database.table(node.table).sample(
-            kind=node.kind, key=node.key, fraction=node.fraction, seed=node.seed
-        )
-        if sample is None:
-            return batch
-        return batch.take(sample.indices)
 
     def _bin(self, node: Bin, database: Database) -> _Batch:
         batch = self._batch(node.child, database)
@@ -769,26 +741,12 @@ class ColumnarBackend:
         bin_interval: width of ``BIN ... BY INTERVAL`` buckets.
         vectorize: run the NumPy kernels; off = the per-value reference mode
             (the ``"columnar-python"`` entry of the differential matrix).
-        approximate: try the sampling-based AQP rewrite
-            (:mod:`repro.plan.sampling`) first for eligible aggregate
-            queries, answering from a precomputed sample with scale-up and
-            error bounds; ineligible queries silently run exact.
-        sampling_config: AQP knobs (sample fraction, seed, decline
-            thresholds) when ``approximate`` is on.
     """
 
     name = "columnar"
 
-    def __init__(
-        self,
-        bin_interval: int = 100,
-        vectorize: bool = True,
-        approximate: bool = False,
-        sampling_config: Optional["SamplingConfig"] = None,
-    ):
+    def __init__(self, bin_interval: int = 100, vectorize: bool = True):
         self._engine = ColumnarEngine(bin_interval=bin_interval, vectorize=vectorize)
-        self.approximate = approximate
-        self.sampling_config = sampling_config
 
     @property
     def vectorize(self) -> bool:
@@ -811,37 +769,11 @@ class ColumnarBackend:
                 categories as every backend.
         """
         plan = self.plan(query, database)
-        if self.approximate:
-            result = self._execute_approximate(plan, query, database)
-            if result is not None:
-                return result
         return ExecutionResult(
             columns=list(output_labels(plan)),
             rows=self._engine.run(plan, database),
             chart_type=query.chart_type.value,
         )
-
-    def _execute_approximate(
-        self, plan: PlanNode, query: DVQuery, database: Database
-    ) -> Optional[ExecutionResult]:
-        """Run the AQP path, or ``None`` when the rewrite declines to exact."""
-        from repro.plan.sampling import DEFAULT_SAMPLING, rewrite_with_sampling
-
-        rewrite = rewrite_with_sampling(
-            plan, database, self.sampling_config or DEFAULT_SAMPLING
-        )
-        if rewrite is None:
-            return None
-        # scale-up reads raw rows (the hidden support column, unrounded
-        # aggregates), so the engine's canonical pass waits until after it
-        rows, approximation = rewrite.finish(self._engine._rows(rewrite.plan, database))
-        result = ExecutionResult(
-            columns=list(rewrite.labels),
-            rows=rows,
-            chart_type=query.chart_type.value,
-            approximation=approximation,
-        )
-        return normalize_result(result, query)
 
     def can_execute(self, query: DVQuery, database: Database) -> bool:
         """True when the query executes without error (used by benches)."""

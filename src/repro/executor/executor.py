@@ -31,16 +31,11 @@ class ExecutionResult:
         columns: output column labels (x label first, then y, then colour).
         rows: list of tuples aligned with ``columns``.
         chart_type: the chart type of the executed query.
-        approximation: ``None`` for exact results; an
-            :class:`~repro.plan.sampling.ApproximationInfo` (typed loosely to
-            avoid an executor->plan import cycle) when the columnar backend
-            answered from a sample, carrying the error bounds.
     """
 
     columns: List[str]
     rows: List[Tuple[object, ...]] = field(default_factory=list)
     chart_type: str = ""
-    approximation: Optional[object] = None
 
     def __len__(self) -> int:
         return len(self.rows)

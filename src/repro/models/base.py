@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.database.catalog import Catalog
 from repro.database.database import Database
-from repro.dvq.nodes import AggregateExpr, AggregateFunction, BinUnit, ChartType, DVQuery, SortDirection
+from repro.dvq.nodes import AggregateExpr, AggregateFunction, BinUnit, ChartType, SortDirection
 from repro.dvq.normalize import try_parse
 from repro.nvbench.example import NVBenchExample
 from repro.nlu.question import QuestionSignals
@@ -74,10 +74,6 @@ class TextToVisModel(abc.ABC):
     @abc.abstractmethod
     def predict(self, nlq: str, database: Database) -> str:
         """Translate a question over ``database`` into a DVQ string."""
-
-    def predict_query(self, nlq: str, database: Database) -> Optional[DVQuery]:
-        """Parsed form of :meth:`predict` (None when the output is malformed)."""
-        return try_parse(self.predict(nlq, database))
 
 
 def collect_training_columns(examples: Sequence[NVBenchExample]) -> List[str]:

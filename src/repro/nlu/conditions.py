@@ -51,12 +51,6 @@ class ExtractedCondition:
     value2: Optional[str] = None
     connector: str = "AND"
 
-    def numeric_value(self) -> Optional[float]:
-        try:
-            return float(self.value) if self.value is not None else None
-        except ValueError:
-            return None
-
 
 class ConditionExtractor:
     """Finds the filter clause of a question and parses its conditions."""

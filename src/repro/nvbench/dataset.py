@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from repro.database.catalog import Catalog
 from repro.nvbench.example import NVBenchExample, Split
@@ -40,12 +40,6 @@ class NVBenchDataset:
     @property
     def test(self) -> List[NVBenchExample]:
         return self.split(Split.TEST)
-
-    def by_database(self) -> Dict[str, List[NVBenchExample]]:
-        grouped: Dict[str, List[NVBenchExample]] = {}
-        for example in self.examples:
-            grouped.setdefault(example.db_id, []).append(example)
-        return grouped
 
     def filter(self, predicate) -> "NVBenchDataset":
         """A new dataset view containing the examples satisfying ``predicate``."""

@@ -659,11 +659,3 @@ def build_catalog_schemas(database_count: int = 104) -> List[DatabaseSchema]:
         suffix_counter[template.name] = suffix_counter.get(template.name, 0) + 1
         schemas.append(template.instantiate(suffix_counter[template.name]))
     return schemas
-
-
-def template_by_name(name: str) -> DomainTemplate:
-    """Look up a domain template by its base name."""
-    for template in DOMAIN_TEMPLATES:
-        if template.name == name:
-            return template
-    raise KeyError(f"Unknown domain template {name!r}")

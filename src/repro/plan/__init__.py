@@ -1,6 +1,6 @@
 """Logical query plans: one IR between the DVQ AST and every execution engine.
 
-The subpackage has five layers:
+The subpackage has four layers:
 
 * :mod:`repro.plan.nodes` — the immutable plan IR (Scan / Join / Filter /
   Bin / Aggregate / Project / Sort / Limit) plus the resolved-column and
@@ -12,11 +12,7 @@ The subpackage has five layers:
   pushdown (single-table filter conjuncts move below the joins);
 * :mod:`repro.plan.cost` — :class:`~repro.plan.cost.CostModel`, cardinality
   and cost estimates over the table statistics in
-  :mod:`repro.database.statistics`, consumed by the AQP rewrite and
-  ``explain(statistics=...)``;
-* :mod:`repro.plan.sampling` — the AQP rewrite: eligible aggregate plans run
-  over a :class:`~repro.plan.nodes.Sample` of the largest table with
-  post-execution scale-up and CLT error bounds.
+  :mod:`repro.database.statistics`, consumed by ``explain(statistics=...)``.
 
 The columnar physical engine (:class:`repro.executor.ColumnarBackend`) runs
 optimized plans over column batches; the SQL compiler
@@ -47,7 +43,6 @@ from repro.plan.nodes import (
     Predicate,
     Project,
     ResolvedColumn,
-    Sample,
     Scan,
     Sort,
     iter_nodes,
@@ -56,18 +51,11 @@ from repro.plan.nodes import (
 )
 from repro.plan.cost import CostModel
 from repro.plan.optimizer import optimize, push_down_predicates
-from repro.plan.sampling import (
-    ApproximationInfo,
-    SamplingConfig,
-    SamplingRewrite,
-    rewrite_with_sampling,
-)
 from repro.plan.planner import Scope, plan_query
 
 __all__ = [
     "Aggregate",
     "AggregateOutput",
-    "ApproximationInfo",
     "Bin",
     "BinKey",
     "BinOutput",
@@ -84,9 +72,6 @@ __all__ = [
     "Predicate",
     "Project",
     "ResolvedColumn",
-    "Sample",
-    "SamplingConfig",
-    "SamplingRewrite",
     "Scan",
     "Scope",
     "Sort",
@@ -96,5 +81,4 @@ __all__ = [
     "output_node",
     "plan_query",
     "push_down_predicates",
-    "rewrite_with_sampling",
 ]

@@ -1,4 +1,4 @@
-"""Cardinality estimation and the cost model behind AQP and ``explain``.
+"""Cardinality estimation and the cost model behind ``explain``.
 
 :class:`CostModel` turns per-table statistics
 (:meth:`repro.database.table.Table.column_statistics` — row counts, NDV,
@@ -18,11 +18,10 @@ equi-depth histograms, MCVs) into the classic textbook estimates:
   scans/filters/aggregates, ``build + probe + output`` for joins, ``n log n``
   for sorts.
 
-The AQP rewrite (:mod:`repro.plan.sampling`) consumes these estimates to
-decline thin groups, and ``plan.explain(statistics=...)`` annotates each node
-with them; the optimizer does not consult them.  Statistics are fetched
-lazily through the :class:`~repro.database.table.Table` cache, so a query
-only pays for the columns its plan references.
+``plan.explain(statistics=...)`` annotates each node with these estimates;
+the optimizer does not consult them.  Statistics are fetched lazily through
+the :class:`~repro.database.table.Table` cache, so a query only pays for the
+columns its plan references.
 
 Estimates never have to be *right* — they change no query's exact result —
 they only have to be deterministic.
@@ -46,7 +45,6 @@ from repro.plan.nodes import (
     Predicate,
     Project,
     ResolvedColumn,
-    Sample,
     Scan,
     Sort,
 )
@@ -206,8 +204,6 @@ class CostModel:
         if isinstance(node, Scan):
             rows = self.table_row_count(node.table)
             return rows if rows is not None else DEFAULT_ROW_COUNT
-        if isinstance(node, Sample):
-            return max(self.cardinality(node.child) * node.fraction, 1.0)
         if isinstance(node, Filter):
             return self.cardinality(node.child) * self.selectivity(node.predicate)
         if isinstance(node, Join):
@@ -244,8 +240,6 @@ class CostModel:
         """Cumulative unitless cost (row touches) of executing ``node``."""
         if isinstance(node, Scan):
             return self.cardinality(node)
-        if isinstance(node, Sample):
-            return self.cost(node.child) + self.cardinality(node)
         if isinstance(node, (Filter, Bin, Project, Aggregate)):
             return self.cost(node.child) + self.cardinality(node.child)
         if isinstance(node, Join):

@@ -169,7 +169,7 @@ class _NodeBase:
         With ``statistics`` — a :class:`~repro.plan.cost.CostModel` or the
         :class:`~repro.database.database.Database` to build one from — every
         node is annotated with its estimated output cardinality and
-        cumulative cost — the estimates the AQP rewrite decides on.
+        cumulative cost.
         """
         model = None
         if statistics is not None:
@@ -232,34 +232,6 @@ class Join(_NodeBase):
 
     def describe(self) -> str:
         return f"Join({self.left_key.render()} = {self.right_key.render()})"
-
-
-@dataclass(frozen=True)
-class Sample(_NodeBase):
-    """Replace a scan's rows with a precomputed seeded row sample.
-
-    The AQP rewrite (:mod:`repro.plan.sampling`) inserts this directly above
-    one :class:`Scan`; the engine answers it from the table's cached
-    :meth:`~repro.database.table.Table.sample` (a sorted row-id subset), so
-    everything above — filters, joins, grouping — runs unchanged on ~
-    ``fraction`` of the rows.  ``kind`` is ``"uniform"`` or ``"keyed"``
-    (stratified by the group-by column ``key``); scale-up of the aggregate
-    outputs happens after execution, driven by the sample's metadata.
-    """
-
-    child: "PlanNode"
-    table: str
-    kind: str
-    key: Optional[str]
-    fraction: float
-    seed: int
-
-    def children(self) -> Tuple["PlanNode", ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        key = f", key={self.key}" if self.key else ""
-        return f"Sample({self.kind}{key}, fraction={self.fraction}, seed={self.seed})"
 
 
 @dataclass(frozen=True)
@@ -356,7 +328,7 @@ class Limit(_NodeBase):
         return f"Limit({self.count})"
 
 
-PlanNode = Union[Scan, Sample, Join, Filter, Bin, Aggregate, Project, Sort, Limit]
+PlanNode = Union[Scan, Join, Filter, Bin, Aggregate, Project, Sort, Limit]
 
 
 def iter_nodes(plan: PlanNode) -> Iterator[PlanNode]:

@@ -30,7 +30,6 @@ from repro.plan.nodes import (
     PlanNode,
     Predicate,
     Project,
-    Sample,
     Scan,
     Sort,
 )
@@ -45,7 +44,7 @@ def _rewrite(plan: PlanNode, fn) -> PlanNode:
     """Bottom-up structural rewrite: children first, then ``fn`` on the node."""
     if isinstance(plan, Join):
         plan = replace(plan, left=_rewrite(plan.left, fn), right=_rewrite(plan.right, fn))
-    elif isinstance(plan, (Filter, Bin, Aggregate, Project, Sort, Limit, Sample)):
+    elif isinstance(plan, (Filter, Bin, Aggregate, Project, Sort, Limit)):
         plan = replace(plan, child=_rewrite(plan.child, fn))
     return fn(plan)
 

@@ -44,13 +44,6 @@ class SchemaRenamePlan:
     table_renames: Dict[str, str] = field(default_factory=dict)
     column_renames: Dict[Tuple[str, str], str] = field(default_factory=dict)
 
-    def column_map_for_table(self, table: str) -> Dict[str, str]:
-        return {
-            old_column: new_column
-            for (table_name, old_column), new_column in self.column_renames.items()
-            if table_name == table
-        }
-
     def rename_rate(self) -> float:
         """Fraction of columns that actually received a different name."""
         if not self.column_renames:

@@ -47,8 +47,3 @@ def validate_spec(spec: VegaLiteSpec) -> List[str]:
     if spec.mark == "arc" and "theta" not in spec.encoding:
         problems.append("Pie charts require a theta channel")
     return problems
-
-
-def is_valid_spec(spec: VegaLiteSpec) -> bool:
-    """True when :func:`validate_spec` reports no problems."""
-    return not validate_spec(spec)

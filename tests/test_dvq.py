@@ -1,10 +1,13 @@
 """Tests for the DVQ language toolchain (tokenizer, parser, serializer, components)."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dvq import (
     ChartType,
+    DVQError,
     DVQParseError,
     DVQTokenizeError,
     extract_components,
@@ -29,6 +32,9 @@ from repro.dvq.nodes import (
 )
 from repro.dvq.tokens import TokenType
 from repro.evaluation.metrics import evaluate_predictions
+
+#: A query head that number-literal tests complete with a WHERE / LIMIT tail.
+_NUMBER_QUERY = "Visualize BAR SELECT a , COUNT(a) FROM t"
 
 SIMPLE = "Visualize BAR SELECT JOB_ID , AVG(MANAGER_ID) FROM employees GROUP BY JOB_ID"
 COMPLEX = (
@@ -160,6 +166,50 @@ class TestParser:
         assert result.total == 1
         assert result.overall_accuracy == 0.0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _NUMBER_QUERY + " WHERE b = 1.2.3 GROUP BY a",
+            _NUMBER_QUERY + " WHERE b = 1.. GROUP BY a",
+            _NUMBER_QUERY + " WHERE b = \u00b2 GROUP BY a",
+            _NUMBER_QUERY + " WHERE b = -\u00b2 GROUP BY a",
+            _NUMBER_QUERY + " WHERE b = \u2078.1 GROUP BY a",
+            _NUMBER_QUERY + " WHERE b = 1\u00b2 GROUP BY a",
+            _NUMBER_QUERY + " WHERE b BETWEEN 1 AND 2.3.4 GROUP BY a",
+            _NUMBER_QUERY + " WHERE b IN ( 1 , \u00b3 ) GROUP BY a",
+            _NUMBER_QUERY + " GROUP BY a LIMIT \u00b2",
+        ],
+    )
+    def test_malformed_number_raises_dvq_error(self, text):
+        # int()/float() reject these lexemes; the tokenizer must too, so a
+        # malformed prediction scores 0 instead of aborting the evaluation
+        with pytest.raises(DVQError):
+            parse_dvq(text)
+        result = evaluate_predictions([(text, "Visualize BAR SELECT a FROM t")])
+        assert result.total == 1
+        assert result.overall_accuracy == 0.0
+
+    @pytest.mark.parametrize("tail", ["WHERE b = {} GROUP BY a", "GROUP BY a LIMIT {}"])
+    def test_overlong_integer_literal_fails_typed(self, tail):
+        # int() refuses more than sys.get_int_max_str_digits() digits (4,300
+        # by default); where it does, parsing must raise a DVQError
+        text = f"{_NUMBER_QUERY} {tail.format('1' * 5000)}"
+        try:
+            parse_dvq(text)
+        except DVQError:
+            pass
+        result = evaluate_predictions([(text, "Visualize BAR SELECT a FROM t")])
+        assert result.total == 1
+        assert result.overall_accuracy == 0.0
+
+    @pytest.mark.parametrize(
+        "literal, value", [("\u0661\u0662", 12), ("5.", 5.0), ("-7", -7), ("-0.5", -0.5)]
+    )
+    def test_decimal_number_forms_parse(self, literal, value):
+        query = parse_dvq(f"{_NUMBER_QUERY} WHERE b = {literal} GROUP BY a")
+        parsed = query.where.conditions[0].value
+        assert parsed == value and type(parsed) is type(value)
+
 
 class TestSerializer:
     @pytest.mark.parametrize("text", [SIMPLE, COMPLEX])
@@ -257,7 +307,47 @@ def dvq_queries(draw):
     )
 
 
+#: Characters that ``str.isdigit`` accepts but ``int()`` / ``float()`` reject
+#: (superscripts, circled digits, ...): the number lexer must not take them.
+_NON_DECIMAL_DIGITS = [
+    chr(code) for code in range(sys.maxunicode + 1)
+    if chr(code).isdigit() and not chr(code).isdecimal()
+]
+
+_number_like = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("0123456789"),
+        st.sampled_from([chr(code) for code in range(0x0660, 0x066A)]),  # Arabic-Indic
+        st.sampled_from(_NON_DECIMAL_DIGITS),
+        st.sampled_from(".-"),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+#: Every literal position a number can take, filled from ``_number_like``.
+_NUMBER_POSITIONS = [
+    _NUMBER_QUERY + " WHERE b = {} GROUP BY a",
+    _NUMBER_QUERY + " WHERE b BETWEEN {} AND {} GROUP BY a",
+    _NUMBER_QUERY + " WHERE b IN ( {} , {} ) GROUP BY a",
+    _NUMBER_QUERY + " GROUP BY a LIMIT {}",
+]
+
+
 class TestDVQProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        template=st.sampled_from(_NUMBER_POSITIONS),
+        first=_number_like,
+        second=_number_like,
+    )
+    def test_number_like_literals_parse_or_raise_dvq_error(self, template, first, second):
+        text = template.format(first, second)
+        try:
+            parse_dvq(text)
+        except DVQError:
+            pass
+
     @settings(max_examples=60, deadline=None)
     @given(dvq_queries())
     def test_serialize_parse_round_trip(self, query):

@@ -329,8 +329,8 @@ class TestBackendRegistration:
         assert isinstance(backend, ColumnarBackend)
 
     def test_unknown_backend_names_all_engines(self):
-        # columnar setups are ColumnarBackend arguments (vectorize=False,
-        # approximate=True), not backend names
+        # columnar setups are ColumnarBackend arguments (vectorize=False),
+        # not backend names; the removed variants stay rejected
         for name in ("postgres", "columnar-parallel", "columnar-cbo",
                      "columnar-rules", "columnar-python", "columnar-approx"):
             with pytest.raises(ValueError, match="'columnar', 'interpreter' or 'sqlite'"):
