@@ -10,9 +10,13 @@ size.
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
+import os
 import pathlib
+import sys
 
+import numpy as np
 import pytest
 
 from repro.executor import ColumnarEngine, ExecutionResult
@@ -23,6 +27,20 @@ from repro.plan import output_labels, plan_query
 #: ``BENCH_<name>.json`` (git-ignored), one per throughput module, so runs
 #: can be diffed across commits without scraping pytest stdout.
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
+REPO_ROOT = BENCH_DIR.parent
+
+
+def _perfbench_harness():
+    """``perfbench/harness.py``, loaded by path: ``perfbench/`` holds scripts,
+    not a package, and the end-to-end benchmark's stamp helpers live there."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_harness", REPO_ROOT / "perfbench" / "harness.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while being built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True)
@@ -38,8 +56,26 @@ def _collect_before_timing():
     yield
 
 
+@pytest.fixture(scope="session")
+def bench_environment():
+    """The machine and program a benchmark run measured.
+
+    Core count, Python, NumPy, BLAS (name, version, threads), the git commit
+    and a digest of ``src/``, from the end-to-end benchmark's own helpers.
+    """
+    harness = _perfbench_harness()
+    return {
+        "nproc": os.cpu_count(),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "blas": harness.blas_info(),
+        "git_sha": harness.git_sha(REPO_ROOT),
+        "source_digest": harness.source_digest(REPO_ROOT),
+    }
+
+
 @pytest.fixture
-def bench_report(request):
+def bench_report(request, bench_environment):
     """A callable writing this module's ``BENCH_<name>.json`` result file.
 
     The name is the module's ``test_<name>_throughput`` stem, so
@@ -47,6 +83,8 @@ def bench_report(request):
     the headline numbers (``speedup=``, ``rows=``, ``timings={label:
     seconds}``, anything JSON-serialisable); repeated calls from one module
     merge into the same file, so multi-test modules accumulate one report.
+    Each file carries the run's ``environment`` stamp; a file stamped by
+    another machine or program is replaced, not merged into.
     """
 
     def write(**payload) -> pathlib.Path:
@@ -59,7 +97,10 @@ def bench_report(request):
                 merged = json.loads(path.read_text())
             except ValueError:
                 merged = {}
+        if merged.get("environment") != bench_environment:
+            merged = {}
         merged.update(payload)
+        merged["environment"] = bench_environment
         path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
         return path
 

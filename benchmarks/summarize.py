@@ -8,12 +8,14 @@ renders them as one aligned table so a whole benchmark run can be read, or
 diffed across commits, at a glance:
 
     $ make bench-summary
-    benchmark   speedup   rows       queries   baseline -> best
-    index       4.64x     50,000     256       exact 0.778s -> partitioned 0.168s
+    benchmark   commit       speedup   rows       queries   baseline -> best
+    index       cb4db40a7a   4.64x     50,000     256       exact 0.778s -> partitioned 0.168s
     ...
 
-Unknown keys are preserved in a trailing notes column, so new benchmarks
-need no changes here as long as they report ``speedup`` / ``timings``.
+The commit is the ``git_sha`` of the file's ``environment`` stamp (``-``
+when the file has none).  Unknown keys are preserved in a trailing notes
+column, so new benchmarks need no changes here as long as they report
+``speedup`` / ``timings``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 
 #: Keys rendered as dedicated columns; everything else lands in "notes".
-_KNOWN = {"speedup", "rows", "queries", "timings"}
+_KNOWN = {"speedup", "rows", "queries", "timings", "environment"}
 
 
 def _load_reports(directory: pathlib.Path):
@@ -62,13 +64,20 @@ def _notes(payload):
     )
 
 
+def _commit(payload):
+    environment = payload.get("environment")
+    sha = environment.get("git_sha") if isinstance(environment, dict) else None
+    return sha[:10] if isinstance(sha, str) else "-"
+
+
 def render_table(reports):
-    header = ["benchmark", "speedup", "rows", "queries", "baseline -> best", "notes"]
+    header = ["benchmark", "commit", "speedup", "rows", "queries", "baseline -> best", "notes"]
     rows = [header]
     for name, payload in reports:
         speedup = payload.get("speedup")
         rows.append([
             name,
+            _commit(payload),
             f"{speedup:.2f}x" if isinstance(speedup, (int, float)) else "-",
             f"{payload['rows']:,}" if isinstance(payload.get("rows"), int) else "-",
             str(payload.get("queries", "-")),

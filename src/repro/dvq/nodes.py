@@ -12,7 +12,9 @@ the evaluation metrics in the paper:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from typing import List, Optional, Sequence, Union
 
 
@@ -169,14 +171,25 @@ class Condition:
 
 
 def _render_literal(value: object) -> str:
+    """The DVQ spelling of a literal, which the tokenizer reads back as ``value``.
+
+    A string is single-quoted unless it holds a ``'``, then double-quoted.  The
+    tokenizer has no escapes, so a string holding both quote kinds has no DVQ
+    spelling; it is rendered single-quoted and does not parse back.  A finite
+    float is written positionally with its shortest round-trip digits
+    (``str()`` would write ``1e-05``, which the tokenizer rejects).
+    """
     if value is None:
         return "NULL"
     if isinstance(value, str):
-        return f"'{value}'"
+        return f'"{value}"' if "'" in value else f"'{value}'"
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
+    if isinstance(value, float) and math.isfinite(value):
+        if value.is_integer():
+            return str(int(value))
+        # float() first: a subclass such as numpy.float64 has its own repr
+        return format(Decimal(repr(float(value))), "f")
     return str(value)
 
 

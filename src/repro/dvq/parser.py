@@ -25,20 +25,23 @@ from repro.dvq.tokens import AGGREGATES, Token, TokenType, tokenize
 
 
 class _TokenStream:
-    """A cursor over a token list with convenience accessors."""
+    """A cursor over a token list with convenience accessors.
+
+    ``current`` is the token under the cursor; :meth:`advance` moves it.
+    """
+
+    __slots__ = ("_tokens", "_index", "current")
 
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._index = 0
-
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._index]
+        self.current = tokens[0]
 
     def advance(self) -> Token:
         token = self.current
         if token.type is not TokenType.EOF:
             self._index += 1
+            self.current = self._tokens[self._index]
         return token
 
     def expect_keyword(self, *names: str) -> Token:

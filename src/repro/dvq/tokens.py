@@ -9,8 +9,8 @@ significant for schema-linking evaluation).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import Iterator, List, NamedTuple
 
 from repro.dvq.errors import DVQTokenizeError
 
@@ -79,13 +79,8 @@ KEYWORDS = frozenset(
 #: Aggregate function keywords.
 AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
-#: Multi-character comparison operators, checked before single-char ones.
-_MULTI_OPERATORS = ("<>", "!=", ">=", "<=")
-_SINGLE_OPERATORS = ("=", ">", "<", "+", "-", "/", "%")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     Attributes:
@@ -108,94 +103,79 @@ class Token:
         return f"{self.type.value}({self.lexeme!r}@{self.position})"
 
 
-def _is_identifier_start(char: str) -> bool:
-    return char.isalpha() or char == "_"
-
-
-def _is_identifier_part(char: str) -> bool:
-    return char.isalnum() or char == "_"
+#: One token (after any whitespace), matched at the cursor.  In a ``str``
+#: pattern ``\s``, ``\d`` and ``\w`` are exactly ``str.isspace``,
+#: ``str.isdecimal`` and ``str.isalnum``-or-``_``, code point by code point.
+#: The groups: a word; punctuation; an operator (a ``-`` before a decimal
+#: digit starts a number instead); a number of decimal digits, which
+#: ``int()``/``float()`` accept (a superscript ``²`` passes ``isdigit()`` but
+#: not ``int()``), and dots; a quoted string.  No two groups can match at the
+#: same character, so their order (most frequent first) changes only speed.
+#: A word may start with any ``\w`` that is not a digit, so
+#: :func:`_iter_tokens` still requires ``isalpha()`` or ``_`` of its first
+#: character.  The groups are optional, so the pattern always matches, and
+#: ``lastindex`` is ``None`` at the end of the text or before a character no
+#: group takes.
+_TOKEN_PATTERN = re.compile(
+    r"""\s*(?:
+        ([^\W\d]\w*)
+      | ([,()*.])
+      | (<>|!=|>=|<=|[=><+/%]|-(?!\d))
+      | (-?\d[\d.]*)
+      | ("[^"]*"|'[^']*')
+    )?""",
+    re.VERBOSE,
+)
+_WORD, _PUNCTUATION, _OPERATOR, _NUMBER, _STRING = range(1, 6)
+_PUNCTUATION_TYPES = {
+    ",": TokenType.COMMA,
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    "*": TokenType.STAR,
+    ".": TokenType.DOT,
+}
 
 
 def _iter_tokens(text: str) -> Iterator[Token]:
+    match_at = _TOKEN_PATTERN.match
     length = len(text)
     index = 0
-    while index < length:
-        char = text[index]
-        if char.isspace():
-            index += 1
-            continue
-        if char == ",":
-            yield Token(TokenType.COMMA, ",", ",", index)
-            index += 1
-            continue
-        if char == "(":
-            yield Token(TokenType.LPAREN, "(", "(", index)
-            index += 1
-            continue
-        if char == ")":
-            yield Token(TokenType.RPAREN, ")", ")", index)
-            index += 1
-            continue
-        if char == "*":
-            yield Token(TokenType.STAR, "*", "*", index)
-            index += 1
-            continue
-        if char == ".":
-            yield Token(TokenType.DOT, ".", ".", index)
-            index += 1
-            continue
-        if char in "\"'":
-            end = text.find(char, index + 1)
-            if end < 0:
-                raise DVQTokenizeError(
-                    f"Unterminated string literal starting at {index}",
-                    position=index,
-                    text=text,
-                )
-            literal = text[index + 1 : end]
-            yield Token(TokenType.STRING, literal, text[index : end + 1], index)
-            index = end + 1
-            continue
-        matched_operator = None
-        for operator in _MULTI_OPERATORS:
-            if text.startswith(operator, index):
-                matched_operator = operator
+    while True:
+        match = match_at(text, index)
+        group = match.lastindex
+        index = match.end()
+        if group is None:
+            break
+        lexeme = match[group]
+        start = index - len(lexeme)
+        if group == _WORD:
+            first = lexeme[0]
+            if not (first.isalpha() or first == "_"):
+                index = start
                 break
-        if matched_operator is None and char in _SINGLE_OPERATORS:
-            # a leading minus can start a negative number literal
-            if char == "-" and index + 1 < length and text[index + 1].isdecimal():
-                matched_operator = None
-            else:
-                matched_operator = char
-        if matched_operator is not None:
-            yield Token(TokenType.OPERATOR, matched_operator, matched_operator, index)
-            index += len(matched_operator)
-            continue
-        # a number is decimal digits, which int()/float() accept (a superscript
-        # "²" passes isdigit() but not int()), with at most one "."
-        if char.isdecimal() or (char == "-" and index + 1 < length and text[index + 1].isdecimal()):
-            start = index
-            index += 1
-            while index < length and (text[index].isdecimal() or text[index] == "."):
-                index += 1
-            lexeme = text[start:index]
-            if lexeme.count(".") > 1:
-                raise DVQTokenizeError(
-                    f"Malformed number {lexeme!r} at position {start}", position=start, text=text
-                )
-            yield Token(TokenType.NUMBER, lexeme, lexeme, start)
-            continue
-        if _is_identifier_start(char):
-            start = index
-            while index < length and _is_identifier_part(text[index]):
-                index += 1
-            lexeme = text[start:index]
             upper = lexeme.upper()
             if upper in KEYWORDS:
                 yield Token(TokenType.KEYWORD, upper, lexeme, start)
             else:
                 yield Token(TokenType.IDENTIFIER, lexeme, lexeme, start)
-            continue
+        elif group == _PUNCTUATION:
+            yield Token(_PUNCTUATION_TYPES[lexeme], lexeme, lexeme, start)
+        elif group == _NUMBER:
+            if lexeme.count(".") > 1:
+                raise DVQTokenizeError(
+                    f"Malformed number {lexeme!r} at position {start}", position=start, text=text
+                )
+            yield Token(TokenType.NUMBER, lexeme, lexeme, start)
+        elif group == _OPERATOR:
+            yield Token(TokenType.OPERATOR, lexeme, lexeme, start)
+        else:
+            yield Token(TokenType.STRING, lexeme[1:-1], lexeme, start)
+    if index < length:
+        char = text[index]
+        if char in "\"'":
+            raise DVQTokenizeError(
+                f"Unterminated string literal starting at {index}", position=index, text=text
+            )
         raise DVQTokenizeError(
             f"Unexpected character {char!r} at position {index}", position=index, text=text
         )

@@ -154,10 +154,10 @@ class ModelEvaluator:
             )
         for example, item in zip(examples, report.items):
             predicted = item.value if item.ok and item.value is not None else ""
-            match = compare_queries(predicted, example.dvq)
+            parsed = try_parse(predicted)
+            match = compare_queries(predicted, example.dvq, predicted_query=parsed)
             executes: Optional[bool] = None
             if self.execution_backend is not None:
-                parsed = try_parse(predicted)
                 executes = parsed is not None and self.execution_backend.can_execute(
                     parsed, catalog.get(example.db_id)
                 )

@@ -68,15 +68,22 @@ class EvaluationResult:
         )
 
 
-def compare_queries(predicted: str, target: str) -> ComponentMatch:
+#: ``compare_queries``' default for ``predicted_query``: parse ``predicted``.
+_UNPARSED = object()
+
+
+def compare_queries(predicted: str, target: str, *,
+                    predicted_query: object = _UNPARSED) -> ComponentMatch:
     """Compare a predicted DVQ string against the gold DVQ string.
 
     Unparseable predictions count as wrong on every component (the front end
     cannot render them), except when the prediction is literally identical to
-    the target text.
+    the target text.  A caller that already parsed ``predicted`` passes
+    ``try_parse(predicted)`` as ``predicted_query`` (``None`` when it does
+    not parse), so the text is not parsed again.
     """
     target_ast = try_parse(target)
-    predicted_ast = try_parse(predicted)
+    predicted_ast = try_parse(predicted) if predicted_query is _UNPARSED else predicted_query
     if target_ast is None or predicted_ast is None:
         identical = " ".join(predicted.lower().split()) == " ".join(target.lower().split())
         return ComponentMatch(vis=identical, axis=identical, data=identical)

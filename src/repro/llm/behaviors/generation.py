@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.dvq.nodes import AggregateExpr, AggregateFunction, ColumnRef, SelectItem
+from repro.dvq.nodes import AggregateExpr, AggregateFunction, ColumnRef, DVQuery, SelectItem
 from repro.dvq.normalize import try_parse
 from repro.dvq.serializer import serialize_dvq
 from repro.embeddings.tokenization import content_words
@@ -40,9 +40,11 @@ class GenerationBehaviour:
         # generation writes COUNT(*) where nvBench writes COUNT(<column>); the
         # DVQ-Retrieval Retuner is the component that matches the corpus style.
         self.count_star_style = count_star_style
-        # example question -> its content words; the examples are retrieved
-        # from the training library, so the texts come from a finite set
+        # example question -> its content words, and example DVQ -> its parse
+        # (None when it does not parse); the examples are retrieved from the
+        # training library, so the texts come from a finite set
         self._example_words: Dict[str, FrozenSet[str]] = {}
+        self._template_queries: Dict[str, Optional[DVQuery]] = {}
 
     def run(self, prompt: str) -> str:
         examples, schema_text, question = parse_generation_prompt(prompt)
@@ -54,7 +56,7 @@ class GenerationBehaviour:
         template = self._best_template(examples, question)
         prior = StructurePrior()
         if template is not None:
-            template_query = try_parse(template.dvq)
+            template_query = self._template_query(template.dvq)
             if template_query is not None:
                 prior = StructurePrior.from_query(template_query)
         composer = QueryComposer(linker=self.linker)
@@ -62,6 +64,11 @@ class GenerationBehaviour:
         if self.count_star_style and self._style_hash(question) % 4 == 0:
             query = self._apply_count_star(query)
         return serialize_dvq(query)
+
+    def _template_query(self, dvq: str) -> Optional[DVQuery]:
+        if dvq in self._template_queries:
+            return self._template_queries[dvq]
+        return self._template_queries.setdefault(dvq, try_parse(dvq))
 
     @staticmethod
     def _style_hash(question: str) -> int:

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.database.catalog import Catalog
 from repro.database.database import Database
-from repro.dvq.nodes import AggregateExpr, AggregateFunction, BinUnit, ChartType, SortDirection
+from repro.dvq.nodes import (
+    AggregateExpr,
+    AggregateFunction,
+    BinUnit,
+    ChartType,
+    DVQuery,
+    SortDirection,
+)
 from repro.dvq.normalize import try_parse
 from repro.nvbench.example import NVBenchExample
 from repro.nlu.question import QuestionSignals
@@ -25,8 +32,11 @@ NONE_LABEL = "NONE"
 def sketch_targets(dvq_text: str) -> Optional[Dict[str, str]]:
     """Extract the sketch labels of a gold DVQ (training targets for the heads)."""
     query = try_parse(dvq_text)
-    if query is None:
-        return None
+    return None if query is None else query_sketch(query)
+
+
+def query_sketch(query: DVQuery) -> Dict[str, str]:
+    """The sketch labels of a parsed gold DVQ."""
     aggregate = NONE_LABEL
     if isinstance(query.y.expr, AggregateExpr):
         aggregate = query.y.expr.function.value
@@ -76,11 +86,11 @@ class TextToVisModel(abc.ABC):
         """Translate a question over ``database`` into a DVQ string."""
 
 
-def collect_training_columns(examples: Sequence[NVBenchExample]) -> List[str]:
-    """Every column name appearing in the training DVQs (a decoder vocabulary)."""
+def collect_training_columns(queries: Iterable[Optional[DVQuery]]) -> List[str]:
+    """Every column name appearing in the parsed training DVQs (a decoder
+    vocabulary); ``None`` stands for a training DVQ that does not parse."""
     columns: Dict[str, None] = {}
-    for example in examples:
-        query = try_parse(example.dvq)
+    for query in queries:
         if query is None:
             continue
         for column in query.referenced_columns():

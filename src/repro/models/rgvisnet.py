@@ -18,13 +18,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.database.catalog import Catalog
 from repro.database.database import Database
+from repro.dvq.nodes import DVQuery
 from repro.dvq.normalize import try_parse
 from repro.dvq.serializer import serialize_dvq
 from repro.embeddings.embedder import EmbedderConfig, TextEmbedder
 from repro.embeddings.store import VectorStore
 from repro.index import IndexConfig
 from repro.linking.linker import SchemaLinker
-from repro.models.base import TextToVisModel, signals_from_sketch, sketch_targets
+from repro.models.base import TextToVisModel, query_sketch, signals_from_sketch
 from repro.neural.features import BagOfWordsFeaturizer
 from repro.neural.mlp import TrainingConfig
 from repro.neural.multihead import MultiHeadSketchClassifier
@@ -52,18 +53,22 @@ class RGVisNetModel(TextToVisModel):
         self.store: Optional[VectorStore] = None
         # lexical revision with sub-word similarity but no synonym knowledge
         self.linker = SchemaLinker(use_synonyms=False, use_char_similarity=True, min_score=0.4)
+        # training DVQ text -> its parse (None when it does not parse); the
+        # store's payloads are the training examples themselves
+        self._training_queries: Dict[str, Optional[DVQuery]] = {}
         self._fitted = False
 
     def fit(self, examples: Sequence[NVBenchExample], catalog: Catalog) -> "RGVisNetModel":
         examples = list(examples)[: self.max_train_examples]
+        queries = [try_parse(example.dvq) for example in examples]
+        self._training_queries = {example.dvq: query for example, query in zip(examples, queries)}
         questions: List[str] = []
         targets: List[Dict[str, str]] = []
-        for example in examples:
-            sketch = sketch_targets(example.dvq)
-            if sketch is None:
+        for example, query in zip(examples, queries):
+            if query is None:
                 continue
             questions.append(example.nlq)
-            targets.append(sketch)
+            targets.append(query_sketch(query))
         self.classifier.fit(questions, targets)
         self.embedder.fit(example.nlq for example in examples)
         self.store = VectorStore(self.embedder, config=self.index_config)
@@ -85,7 +90,7 @@ class RGVisNetModel(TextToVisModel):
         prototype = self._retrieve_prototype(nlq)
         prior = StructurePrior()
         if prototype is not None:
-            prototype_query = try_parse(prototype.dvq)
+            prototype_query = self._training_queries[prototype.dvq]
             if prototype_query is not None:
                 prior = StructurePrior.from_query(prototype_query)
                 # the retrieved prototype also informs the chart type when the

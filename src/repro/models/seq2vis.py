@@ -15,20 +15,21 @@ import numpy as np
 
 from repro.database.catalog import Catalog
 from repro.database.database import Database
+from repro.dvq.nodes import DVQuery
+from repro.dvq.normalize import try_parse
 from repro.dvq.serializer import serialize_dvq
 from repro.linking.linker import SchemaLinker
 from repro.models.base import (
     TextToVisModel,
     collect_training_columns,
+    query_sketch,
     signals_from_sketch,
-    sketch_targets,
 )
 from repro.neural.features import BagOfWordsFeaturizer
 from repro.neural.mlp import TrainingConfig
 from repro.neural.multihead import MultiHeadSketchClassifier
 from repro.nlu.composer import QueryComposer, StructurePrior
 from repro.nvbench.example import NVBenchExample
-from repro.dvq.normalize import try_parse
 
 
 class Seq2VisModel(TextToVisModel):
@@ -48,7 +49,8 @@ class Seq2VisModel(TextToVisModel):
         self.linker = SchemaLinker(use_synonyms=False, use_char_similarity=False, min_score=0.5)
         self._memory_featurizer = BagOfWordsFeaturizer(use_bigrams=False)
         self._memory_matrix: Optional[np.ndarray] = None
-        self._memory_examples: List[NVBenchExample] = []
+        # the parsed DVQ of each training example (None when it does not parse)
+        self._memory_queries: List[Optional[DVQuery]] = []
         self._vocabulary_columns: List[str] = []
         self._fitted = False
 
@@ -56,17 +58,17 @@ class Seq2VisModel(TextToVisModel):
 
     def fit(self, examples: Sequence[NVBenchExample], catalog: Catalog) -> "Seq2VisModel":
         examples = list(examples)[: self.max_train_examples]
+        queries = [try_parse(example.dvq) for example in examples]
         questions: List[str] = []
         targets: List[Dict[str, str]] = []
-        for example in examples:
-            sketch = sketch_targets(example.dvq)
-            if sketch is None:
+        for example, query in zip(examples, queries):
+            if query is None:
                 continue
             questions.append(example.nlq)
-            targets.append(sketch)
+            targets.append(query_sketch(query))
         self.classifier.fit(questions, targets)
-        self._vocabulary_columns = collect_training_columns(examples)
-        self._memory_examples = examples
+        self._vocabulary_columns = collect_training_columns(queries)
+        self._memory_queries = queries
         self._memory_featurizer.fit(example.nlq for example in examples)
         self._memory_matrix = self._memory_featurizer.transform(
             [example.nlq for example in examples]
@@ -76,12 +78,12 @@ class Seq2VisModel(TextToVisModel):
 
     # -- inference -----------------------------------------------------------------
 
-    def _nearest_training_example(self, nlq: str) -> Optional[NVBenchExample]:
-        if self._memory_matrix is None or not len(self._memory_examples):
+    def _nearest_training_query(self, nlq: str) -> Optional[DVQuery]:
+        if self._memory_matrix is None or not self._memory_queries:
             return None
         vector = self._memory_featurizer.transform_one(nlq)
         scores = self._memory_matrix @ vector
-        return self._memory_examples[int(np.argmax(scores))]
+        return self._memory_queries[int(np.argmax(scores))]
 
     def predict(self, nlq: str, database: Database) -> str:
         if not self._fitted:
@@ -89,11 +91,9 @@ class Seq2VisModel(TextToVisModel):
         signals = signals_from_sketch(self.classifier.predict(nlq))
         # the decoder's memory: structure of the closest training question
         prior = StructurePrior()
-        nearest = self._nearest_training_example(nlq)
-        if nearest is not None:
-            nearest_query = try_parse(nearest.dvq)
-            if nearest_query is not None:
-                prior = StructurePrior.from_query(nearest_query)
+        nearest_query = self._nearest_training_query(nlq)
+        if nearest_query is not None:
+            prior = StructurePrior.from_query(nearest_query)
         composer = QueryComposer(
             linker=self.linker,
             allowed_columns=self._vocabulary_columns,

@@ -1,5 +1,6 @@
 """Tests for the DVQ language toolchain (tokenizer, parser, serializer, components)."""
 
+import re
 import sys
 
 import pytest
@@ -30,8 +31,9 @@ from repro.dvq.nodes import (
     SortDirection,
     WhereClause,
 )
-from repro.dvq.tokens import TokenType
+from repro.dvq.tokens import KEYWORDS, Token, TokenType
 from repro.evaluation.metrics import evaluate_predictions
+from repro.robustness.variants import VariantKind
 
 #: A query head that number-literal tests complete with a WHERE / LIMIT tail.
 _NUMBER_QUERY = "Visualize BAR SELECT a , COUNT(a) FROM t"
@@ -80,6 +82,151 @@ class TestTokenizer:
     def test_none_input_raises(self):
         with pytest.raises(DVQTokenizeError):
             tokenize(None)
+
+
+def reference_tokenize(text):
+    """The per-character tokenizer the compiled pattern replaced: the oracle.
+
+    It reads one character at a time with the ``str`` predicates themselves
+    (``isspace``, ``isdecimal``, ``isalpha``, ``isalnum``), so the tests can
+    hold ``tokenize`` to the same tokens and the same errors.
+    """
+    tokens = []
+    length = len(text)
+    index = 0
+    punctuation = {",": TokenType.COMMA, "(": TokenType.LPAREN, ")": TokenType.RPAREN,
+                   "*": TokenType.STAR, ".": TokenType.DOT}
+    while index < length:
+        char = text[index]
+        if char.isspace():
+            index += 1
+            continue
+        if char in punctuation:
+            tokens.append(Token(punctuation[char], char, char, index))
+            index += 1
+            continue
+        if char in "\"'":
+            end = text.find(char, index + 1)
+            if end < 0:
+                raise DVQTokenizeError(
+                    f"Unterminated string literal starting at {index}", position=index, text=text
+                )
+            tokens.append(Token(TokenType.STRING, text[index + 1:end], text[index:end + 1], index))
+            index = end + 1
+            continue
+        operator = next((op for op in ("<>", "!=", ">=", "<=") if text.startswith(op, index)), None)
+        if operator is None and char in "=><+-/%":
+            # a leading minus can start a negative number literal
+            if not (char == "-" and index + 1 < length and text[index + 1].isdecimal()):
+                operator = char
+        if operator is not None:
+            tokens.append(Token(TokenType.OPERATOR, operator, operator, index))
+            index += len(operator)
+            continue
+        if char.isdecimal() or (char == "-" and index + 1 < length and text[index + 1].isdecimal()):
+            start = index
+            index += 1
+            while index < length and (text[index].isdecimal() or text[index] == "."):
+                index += 1
+            lexeme = text[start:index]
+            if lexeme.count(".") > 1:
+                raise DVQTokenizeError(
+                    f"Malformed number {lexeme!r} at position {start}", position=start, text=text
+                )
+            tokens.append(Token(TokenType.NUMBER, lexeme, lexeme, start))
+            continue
+        if char.isalpha() or char == "_":
+            start = index
+            while index < length and (text[index].isalnum() or text[index] == "_"):
+                index += 1
+            lexeme = text[start:index]
+            upper = lexeme.upper()
+            if upper in KEYWORDS:
+                tokens.append(Token(TokenType.KEYWORD, upper, lexeme, start))
+            else:
+                tokens.append(Token(TokenType.IDENTIFIER, lexeme, lexeme, start))
+            continue
+        raise DVQTokenizeError(
+            f"Unexpected character {char!r} at position {index}", position=index, text=text
+        )
+    tokens.append(Token(TokenType.EOF, "", "", length))
+    return tokens
+
+
+def _lexed(tokenizer, text):
+    """The tokens of ``text``, or the error's type, message and position."""
+    try:
+        return [tuple(token) for token in tokenizer(text)]
+    except DVQTokenizeError as error:
+        return (type(error), str(error), error.position)
+
+
+def _assert_lexes_like_reference(text):
+    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text), repr(text)
+
+
+#: Characters whose Unicode properties the lexer's classes must get right:
+#: dotless i (upper() is "I", so "ın" is the keyword IN), long s (upper()
+#: "S"), the Kelvin sign, a superscript two (isdigit, not isdecimal), an
+#: Arabic-Indic one (isdecimal) and a no-break space (isspace).
+_TRICKY_CHARACTERS = ["\u0131", "\u017f", "\u212a", "\u00b2", "\u0661", "\u00a0"]
+#: Each character is lexed alone, after a letter, before a letter, after a
+#: digit and after a minus sign.
+_CONTEXTS = ["{}", "a{}", "{}a", "1{}", "-{}"]
+_ALL_CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+def _class_representatives():
+    """The first code point of every (isspace, isdecimal, isdigit, isalpha,
+    isalnum, upper() changes) combination that occurs."""
+    found = {}
+    for char in _ALL_CODE_POINTS:
+        key = (char.isspace(), char.isdecimal(), char.isdigit(), char.isalpha(),
+               char.isalnum(), char.upper() != char)
+        found.setdefault(key, char)
+    return sorted(found.values())
+
+
+class TestLexerOracle:
+    def test_every_corpus_dvq_lexes_like_the_reference(self, small_dataset, robustness_suite):
+        texts = {example.dvq for example in small_dataset.examples}
+        for kind in VariantKind:
+            texts.update(example.dvq for example in robustness_suite.variant(kind).examples)
+        assert len(texts) > 100
+        for text in sorted(texts):
+            _assert_lexes_like_reference(text)
+
+    def test_class_patterns_equal_the_str_predicates_on_every_code_point(self):
+        # the lexer rests on these three equalities; an ASCII-only class (or a
+        # Python whose re disagrees with str) would lex some text differently
+        everything = _ALL_CODE_POINTS
+        assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
+        assert re.findall(r"\d", everything) == [c for c in everything if c.isdecimal()]
+        assert re.findall(r"\w", everything) == [c for c in everything
+                                                 if c.isalnum() or c == "_"]
+
+    def test_every_character_class_lexes_like_the_reference(self):
+        characters = _class_representatives() + _TRICKY_CHARACTERS
+        assert len(characters) >= 10
+        for char in characters:
+            for context in _CONTEXTS:
+                _assert_lexes_like_reference(context.format(char))
+
+    def test_dotless_i_spells_a_keyword(self):
+        tokens = tokenize("a \u0131n ( 1 )")
+        assert tokens[1] == Token(TokenType.KEYWORD, "IN", "\u0131n", 2)
+
+    def test_token_is_a_value(self):
+        token = tokenize("select")[0]
+        assert token == Token(TokenType.KEYWORD, "SELECT", "select", 0)
+        assert token.is_keyword("FROM", "SELECT") and not token.is_keyword("FROM")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(
+        list(",()*.\"' <>=!+-/%_\t\naZ09") + _TRICKY_CHARACTERS + ["\u00bd", "\u00e9"]),
+        max_size=14))
+    def test_random_text_lexes_like_the_reference(self, text):
+        _assert_lexes_like_reference(text)
 
 
 class TestParser:
@@ -226,6 +373,21 @@ class TestSerializer:
     def test_serialize_string_literal_quoted(self):
         query = parse_dvq("Visualize BAR SELECT a , COUNT(a) FROM t WHERE b = 'Finance' GROUP BY a")
         assert "'Finance'" in serialize_dvq(query)
+
+    def test_small_float_serializes_positionally(self):
+        # str(0.00001) is "1e-05", which the parser rejected as trailing input
+        text = f"{_NUMBER_QUERY} WHERE c = 0.00001 GROUP BY a"
+        query = parse_dvq(text)
+        assert serialize_dvq(query) == text
+        assert normalize_dvq_text(text) == text
+
+    def test_string_holding_a_single_quote_serializes_double_quoted(self):
+        # 'O'Brien' would read as an unterminated string
+        text = f'{_NUMBER_QUERY} WHERE c = "O\'Brien" GROUP BY a'
+        query = parse_dvq(text)
+        assert query.where.conditions[0].value == "O'Brien"
+        assert serialize_dvq(query) == text
+        assert parse_dvq(serialize_dvq(query)) == query
 
 
 class TestComponents:

@@ -7,6 +7,7 @@ re-serialises to the same string — and text normalisation is idempotent.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from repro.database import DataGenerator
 from repro.database.schema import ColumnType, build_schema
 from repro.dvq import parse_dvq, serialize_dvq
 from repro.dvq.generate import RandomDVQGenerator
+from repro.dvq.nodes import ChartType, ColumnRef, Condition, DVQuery, SelectItem, WhereClause
 from repro.dvq.components import extract_components
 from repro.dvq.normalize import normalize_dvq_text
 
@@ -89,6 +91,45 @@ def test_normalize_is_idempotent(seed, roundtrip_database):
 def test_normalize_is_idempotent_on_arbitrary_text(text):
     normalized = normalize_dvq_text(text)
     assert normalize_dvq_text(normalized) == normalized
+
+
+def _float_query(value):
+    condition = Condition(column=ColumnRef(column="c"), operator="=", value=value)
+    return DVQuery(
+        chart_type=ChartType.BAR,
+        select=(SelectItem(ColumnRef(column="a")),),
+        table="t",
+        where=WhereClause(conditions=(condition,)),
+    )
+
+
+def _assert_float_roundtrips(value):
+    text = serialize_dvq(_float_query(value))
+    reparsed = parse_dvq(text)
+    assert reparsed.where.conditions[0].value == value, text
+    assert serialize_dvq(reparsed) == text
+    assert normalize_dvq_text(text) == text
+
+
+def test_float_literals_of_every_magnitude_roundtrip():
+    """A float renders positionally (never ``1e-05``) and parses back equal."""
+    for exponent in range(-323, 308):
+        for mantissa in ("1", "1.2345", "-9.87654321"):
+            _assert_float_roundtrips(float(f"{mantissa}e{exponent}"))
+    for value in (5e-324, 2.2250738585072014e-308, 1e15 + 0.5, 1.7976931348623157e308, -0.0):
+        _assert_float_roundtrips(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False))
+def test_any_finite_float_literal_roundtrips(value):
+    _assert_float_roundtrips(value)
+
+
+def test_numpy_float_literal_renders_like_the_equal_float():
+    # numpy.float64 subclasses float, but its repr is "np.float64(1e-05)"
+    for value in (1e-05, 0.5, 3.0, 1.2345e-10):
+        assert serialize_dvq(_float_query(np.float64(value))) == serialize_dvq(_float_query(value))
 
 
 # -- fuzzer-generated queries (statistics-driven WorkloadGenerator) ----------

@@ -56,7 +56,7 @@ class TestSketchUtilities:
         assert not signals.has_order
 
     def test_collect_training_columns(self, small_dataset):
-        columns = collect_training_columns(small_dataset.train)
+        columns = collect_training_columns(try_parse(example.dvq) for example in small_dataset.train)
         assert columns
         assert all(column != "*" for column in columns)
 
@@ -95,7 +95,7 @@ class TestBaselines:
         model = trained_models["Seq2Vis"]
         assert model._vocabulary_columns
         assert set(model._vocabulary_columns) == set(collect_training_columns(
-            small_dataset.train[: model.max_train_examples]
+            try_parse(example.dvq) for example in small_dataset.train[: model.max_train_examples]
         ))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.dvq import parse_dvq
 from repro.dvq.nodes import AggregateFunction, BinUnit, ChartType, SortDirection
+from repro.dvq.normalize import try_parse
 from repro.core import GRED, GREDConfig
 from repro.embeddings.tokenization import content_words
 from repro.linking import SchemaLinker
@@ -284,10 +285,13 @@ class TestPromptRobustness:
                 for prompt in texts:
                     model.complete([ChatMessage(role="user", content=prompt)])
         assert model.retune._votes and model.generation._example_words
+        assert model.generation._template_queries
         for reference, votes in model.retune._votes.items():
             assert votes == _style_votes(reference)
         for question, words in model.generation._example_words.items():
             assert words == frozenset(content_words(question))
+        for dvq, query in model.generation._template_queries.items():
+            assert query == try_parse(dvq)
         for linker in (model.generation.linker, model.debug.linker, model.repair.linker):
             assert linker._identifiers
             for name, features in linker._identifiers.items():
