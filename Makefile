@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-diff bench bench-index bench-index-check bench-plan bench-plan-check bench-vector bench-vector-check bench-sort bench-sort-check bench-summary bench-paper-scale perfbench-check perfbench-smoke fuzz fuzz-check quickstart lint
+.PHONY: test test-fast test-diff bench bench-index bench-index-check bench-plan bench-plan-check bench-vector bench-vector-check bench-sort bench-sort-check bench-summary bench-paper-scale perfbench-check perfbench-smoke fuzz fuzz-check quickstart examples lint
 
 test:            ## tier-1 suite (tests/ + benchmarks/, fail fast)
 	$(PYTHON) -m pytest -x -q
@@ -70,6 +70,15 @@ fuzz-check:      ## CI smoke fuzz: 2k queries over a 30k-row star schema (~2 min
 
 quickstart:      ## end-to-end example: corpus -> GRED -> rendered chart
 	$(PYTHON) examples/quickstart.py
+
+examples:        ## every examples/*.py, each from a fresh temporary directory; fails on a nonzero exit (~35 s; used by CI)
+	@root=$$(pwd); for script in examples/*.py; do \
+		echo "== $$script"; \
+		scratch=$$(mktemp -d); \
+		(cd $$scratch && PYTHONPATH=$$root/src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) $$root/$$script); \
+		status=$$?; rm -rf $$scratch; \
+		[ $$status -eq 0 ] || { echo "examples: $$script exited with status $$status"; exit 1; }; \
+	done
 
 lint:            ## ruff over the whole tree (config in ruff.toml)
 	ruff check src tests benchmarks examples

@@ -14,7 +14,6 @@ a fast tier-1 smoke and as the at-scale acceptance run:
     REPRO_FUZZ_ROWS       total rows across the schema graph    (default 8000)
     REPRO_FUZZ_TABLES     table count in the schema graph       (default 8)
     REPRO_FUZZ_TOPOLOGY   star | snowflake | chain              (default star)
-    REPRO_FUZZ_WORKERS    BatchRunner thread pool size          (default 2)
     REPRO_FUZZ_SEED       base seed (query i uses seed base+i)  (default 0)
     REPRO_FUZZ_JOIN_COST  row-pair bound per drawn join         (default 300000)
 
@@ -43,7 +42,6 @@ QUERIES = _env_int("REPRO_FUZZ_QUERIES", 200)
 ROWS = _env_int("REPRO_FUZZ_ROWS", 8_000)
 TABLES = _env_int("REPRO_FUZZ_TABLES", 8)
 TOPOLOGY = os.environ.get("REPRO_FUZZ_TOPOLOGY", "star")
-WORKERS = _env_int("REPRO_FUZZ_WORKERS", 2)
 BASE_SEED = _env_int("REPRO_FUZZ_SEED", 0)
 JOIN_COST = _env_int("REPRO_FUZZ_JOIN_COST", 300_000)
 
@@ -68,7 +66,6 @@ def test_portable_sweep_is_mismatch_free(fuzz_db):
         fuzz_db,
         count=QUERIES,
         base_seed=BASE_SEED,
-        max_workers=WORKERS,
         max_join_cost=JOIN_COST,
     )
     print(report.summary())
@@ -89,7 +86,6 @@ def test_non_portable_sweep_agrees_on_failure_categories(fuzz_db):
         count=count,
         base_seed=BASE_SEED + 10_000,
         portable_subset=False,
-        max_workers=WORKERS,
         max_join_cost=JOIN_COST,
     )
     print(report.summary())

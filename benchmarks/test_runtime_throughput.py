@@ -1,16 +1,9 @@
-"""Runtime throughput — serial vs batched execution and LLM-cache effect.
+"""Runtime throughput — the LLM-cache effect on a repeated pass.
 
-This benchmark is the perf baseline for the :mod:`repro.runtime` subsystem.
-The simulated chat model answers in microseconds, so a
-:class:`~repro.runtime.latency.LatencyChatModel` re-introduces a fixed
-per-completion latency (as a GIL-releasing sleep, like a socket read on a real
-endpoint).  We then measure:
-
-1. serial (``max_workers=1``) vs batched (``max_workers=8``) wall-clock time
-   of ``GRED.trace_batch`` over the same examples — batched must be >= 2x
-   faster while producing bit-identical traces; and
-2. the hit rate and speed-up of an :class:`~repro.runtime.cache.LLMCache` on
-   a repeated pass over the same test set.
+This benchmark measures the :mod:`repro.runtime` completion cache: the hit
+rate and speed-up of an :class:`~repro.runtime.cache.LLMCache` when the same
+test set is traced twice.  The warm pass answers every completion from
+memory, so it must be faster than the cold pass with identical traces.
 """
 
 from __future__ import annotations
@@ -18,68 +11,14 @@ from __future__ import annotations
 import time
 
 from repro.core import GRED, GREDConfig
-from repro.llm.simulated import SimulatedChatModel
 from repro.nvbench.generator import build_corpus
-from repro.runtime import BatchRunner, LatencyChatModel, aggregate_stage_timings, format_stage_table
 
-#: Simulated per-completion latency; ~3 completions per traced example.
-LATENCY_SECONDS = 0.02
 EXAMPLE_COUNT = 16
-BATCH_WORKERS = 8
-
-
-def _prepared_gred(llm) -> tuple:
-    dataset = build_corpus(scale=0.05, seed=11)
-    model = GRED(GREDConfig(top_k=5), llm=llm)
-    model.fit(dataset.train, dataset.catalog)
-    return model, dataset
-
-
-def test_batched_throughput_vs_serial(bench_report):
-    llm = LatencyChatModel(SimulatedChatModel(), seconds_per_call=LATENCY_SECONDS)
-    model, dataset = _prepared_gred(llm)
-    examples = dataset.test[:EXAMPLE_COUNT]
-
-    # Warm the per-database annotation cache so both timed runs do equal work.
-    model.trace_batch(examples, dataset.catalog)
-
-    serial_report = model.trace_batch(examples, dataset.catalog, runner=BatchRunner(max_workers=1))
-    batched_report = model.trace_batch(
-        examples, dataset.catalog, runner=BatchRunner(max_workers=BATCH_WORKERS)
-    )
-
-    speedup = serial_report.wall_seconds / batched_report.wall_seconds
-    print(
-        f"\nruntime throughput over {len(examples)} examples "
-        f"({LATENCY_SECONDS * 1e3:.0f} ms simulated LLM latency, {llm.calls} completions):"
-    )
-    print(f"  serial  ({serial_report.max_workers} worker):  {serial_report.summary()}")
-    print(f"  batched ({batched_report.max_workers} workers): {batched_report.summary()}")
-    print(f"  speedup: {speedup:.1f}x")
-    print(format_stage_table(aggregate_stage_timings(
-        trace.timings for trace in batched_report.values()
-    )))
-
-    bench_report(
-        speedup=speedup,
-        rows=len(examples),
-        timings={
-            "serial": serial_report.wall_seconds,
-            "batched": batched_report.wall_seconds,
-        },
-    )
-
-    # identical traces, regardless of worker count (GREDTrace equality ignores timings)
-    assert batched_report.values() == serial_report.values()
-    assert serial_report.failure_count == batched_report.failure_count == 0
-    # the acceptance bar: >= 2x throughput with >= 4 workers
-    assert speedup >= 2.0, f"batched runtime only {speedup:.2f}x faster than serial"
 
 
 def test_llm_cache_hit_rate_on_repeated_pass():
-    llm = LatencyChatModel(SimulatedChatModel(), seconds_per_call=0.005)
-    model, dataset = _prepared_gred(llm)
-    cached = GRED(GREDConfig(top_k=5, use_llm_cache=True), llm=llm)
+    dataset = build_corpus(scale=0.05, seed=11)
+    cached = GRED(GREDConfig(top_k=5, use_llm_cache=True))
     cached.fit(dataset.train, dataset.catalog)
     examples = dataset.test[:EXAMPLE_COUNT]
 

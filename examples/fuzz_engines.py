@@ -31,7 +31,7 @@ def main() -> None:
         )
 
     print("\nSweeping 300 statistics-driven DVQs through the engine matrix ...")
-    report = fuzz_database(database, count=300, base_seed=0, max_workers=2)
+    report = fuzz_database(database, count=300, base_seed=0)
     print(report.summary())
 
     print("\nInjecting a bug into the columnar engine ('<' behaves as '<=') ...")
@@ -50,7 +50,7 @@ def main() -> None:
 
     columnar_module.evaluate_condition = buggy
     try:
-        report = fuzz_database(database, count=300, base_seed=0, max_workers=2)
+        report = fuzz_database(database, count=300, base_seed=0)
     finally:
         columnar_module.evaluate_condition = real
 

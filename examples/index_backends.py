@@ -1,4 +1,4 @@
-"""Choosing a retrieval backend: exact vs partitioned search, and snapshots.
+"""Choosing a retrieval backend: exact vs partitioned search.
 
 Demonstrates the pluggable vector-index subsystem added in `repro.index`:
 
@@ -6,22 +6,17 @@ Demonstrates the pluggable vector-index subsystem added in `repro.index`:
    oracle, `PartitionedIndex` probes a few k-means partitions) and compare
    their answers;
 2. measure the recall/latency trade-off as `nprobe` varies on a larger
-   library;
-3. persist a prepared `GREDRetriever` and reload it without re-embedding
-   anything (the embedder call counter proves it).
+   library.
 
 Run with:  PYTHONPATH=src python examples/index_backends.py
 """
 
-import tempfile
 import time
 
 import numpy as np
 
-from repro.core.retriever import GREDRetriever
 from repro.embeddings import EmbedderConfig, TextEmbedder, VectorStore
 from repro.index import ExactIndex, IndexConfig, PartitionedIndex
-from repro.nvbench.generator import build_corpus
 
 
 def clustered_library(count, dims=64, clusters=128, noise=0.15, seed=42):
@@ -83,21 +78,6 @@ def main():
         print(
             f"  nprobe={nprobe:>2}/64: {seconds * 1e3:5.0f} ms "
             f"({exact_seconds / seconds:4.1f}x) recall@5 {recall:.3f}"
-        )
-
-    # 3. snapshot persistence: prepare once, reload without re-embedding
-    dataset = build_corpus(scale=0.05, seed=11)
-    with tempfile.TemporaryDirectory() as directory:
-        config = IndexConfig(snapshot_path=f"{directory}/library")
-        first = GREDRetriever(index_config=config)
-        first.prepare(dataset.train)
-        print(f"\ncold prepare embedded {first.embedder.texts_embedded} texts")
-        restored = GREDRetriever(index_config=config)
-        restored.prepare(dataset.train)  # same corpus -> loads the snapshot
-        hits = restored.retrieve_by_nlq(dataset.test[0].nlq, top_k=3)
-        print(
-            f"warm prepare embedded {restored.embedder.texts_embedded - 1} texts "
-            f"(library restored from disk); top hit: {hits[0].key} @ {hits[0].score:.3f}"
         )
 
 

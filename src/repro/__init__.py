@@ -14,8 +14,8 @@ Top-level convenience imports; see the subpackages for the full API:
 * :mod:`repro.core` — GRED, the paper's contribution.
 * :mod:`repro.evaluation` / :mod:`repro.experiments` — metrics and the harness
   that regenerates every table and figure.
-* :mod:`repro.runtime` — the batched, cached execution engine (thread-pooled
-  :class:`~repro.runtime.runner.BatchRunner`, completion-memoizing
+* :mod:`repro.runtime` — the batched, cached execution engine (the serial
+  :func:`~repro.runtime.runner.run_batch` loop, completion-memoizing
   :class:`~repro.runtime.cache.LLMCache`).
 """
 
@@ -25,12 +25,11 @@ from repro.evaluation.metrics import evaluate_predictions
 from repro.experiments.workbench import Workbench, WorkbenchConfig
 from repro.nvbench.generator import CorpusConfig, NVBenchGenerator, build_corpus
 from repro.robustness.variants import RobustnessSuiteBuilder, VariantKind
-from repro.runtime import BatchRunner, LLMCache
+from repro.runtime import LLMCache
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "BatchRunner",
     "CorpusConfig",
     "GRED",
     "GREDConfig",

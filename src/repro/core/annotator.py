@@ -14,10 +14,10 @@ from repro.llm.interface import ChatModel, CompletionParams
 class DatabaseAnnotator:
     """Generates and caches natural-language annotations for databases.
 
-    The cache is thread-safe so batched inference workers can share one
-    annotator; the completion call runs outside the lock, so two workers
-    racing on the same uncached database may both annotate it, but the result
-    is deterministic and the second write is a no-op.
+    The cache is thread-safe so a caller's threads can share one annotator;
+    the completion call runs outside the lock, so two threads racing on the
+    same uncached database may both annotate it, but the result is
+    deterministic and the second write is a no-op.
     """
 
     def __init__(self, llm: ChatModel, params: Optional[CompletionParams] = None):

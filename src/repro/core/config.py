@@ -48,16 +48,12 @@ class GREDConfig:
             row-at-a-time reference executor) or ``"sqlite"`` (the DVQ->SQL
             compiler over SQLite, see :mod:`repro.sql`).  All three return
             identical results; only speed differs.  Each check runs serially
-            on the calling thread; batch whole traces with a
-            :class:`~repro.runtime.runner.BatchRunner` instead.  Only
-            meaningful with ``verify_execution`` or ``max_repair_rounds > 0``.
+            on the calling thread.  Only meaningful with ``verify_execution``
+            or ``max_repair_rounds > 0``.
         index: retrieval-index configuration for the NLQ/DVQ libraries
             (:class:`~repro.index.IndexConfig`): the search backend
             (``"exact"`` brute force — the default — or ``"partitioned"``
-            IVF-style probing), its partitioning knobs, and an optional
-            ``snapshot_path`` under which the prepared libraries are
-            persisted and restored instead of re-embedding the corpus on
-            every process start.
+            IVF-style probing) and its partitioning knobs.
         max_repair_rounds: enable the execution-guided repair loop
             (:class:`repro.pipeline.stages.ExecutionGuidedRepairStage`):
             after the regular stages, the candidate DVQ is executed on

@@ -24,7 +24,7 @@ from repro.pipeline.context import StageContext, StageRecord
 from repro.pipeline.plan import StagePlan, build_stage_plan
 from repro.pipeline.stages import DEBUG, GENERATE, REPAIR, RETUNE
 from repro.runtime.cache import LLMCache
-from repro.runtime.runner import BatchReport, BatchRunner
+from repro.runtime.runner import BatchReport, run_batch
 
 __all__ = ["GRED", "GREDTrace", "RepairStats", "NotFittedError"]
 
@@ -151,8 +151,7 @@ class GRED(TextToVisModel):
     execution check (``config.verify_execution``).  Ablations and custom
     experiments are plan edits — see :attr:`plan` — not pipeline subclasses.
     Inference is available per-question (:meth:`predict` / :meth:`trace`) or
-    batched through a :class:`~repro.runtime.runner.BatchRunner`
-    (:meth:`predict_batch` / :meth:`trace_batch`); with
+    over a list of examples (:meth:`predict_batch` / :meth:`trace_batch`); with
     ``config.use_llm_cache`` the chat model is wrapped in an
     :class:`~repro.runtime.cache.LLMCache` so repeated prompts (shared
     database annotations, duplicated variant questions) are answered from
@@ -256,39 +255,25 @@ class GRED(TextToVisModel):
         self._require_fitted("predict")
         return self.trace(nlq, database).final
 
-    def trace_batch(
-        self,
-        examples: Sequence[NVBenchExample],
-        catalog: Catalog,
-        runner: Optional[BatchRunner] = None,
-    ) -> BatchReport:
-        """Run :meth:`trace` over a dataset through a batch runner.
+    def trace_batch(self, examples: Sequence[NVBenchExample], catalog: Catalog) -> BatchReport:
+        """Run :meth:`trace` over a dataset through :func:`~repro.runtime.runner.run_batch`.
 
         Returns the full :class:`~repro.runtime.runner.BatchReport`, which
         preserves input order, isolates per-example failures and carries
-        per-example timings.  Without an explicit ``runner`` a serial
-        (``max_workers=1``) runner is used, making the result bit-identical to
-        looping over :meth:`trace`.
+        per-example timings.
         """
-        runner = runner or BatchRunner(max_workers=1)
-        return runner.run(
-            list(examples),
-            lambda example: self.trace(example.nlq, catalog.get(example.db_id)),
+        return run_batch(
+            examples, lambda example: self.trace(example.nlq, catalog.get(example.db_id))
         )
 
     def predict_batch(
-        self,
-        examples: Sequence[NVBenchExample],
-        catalog: Catalog,
-        runner: Optional[BatchRunner] = None,
+        self, examples: Sequence[NVBenchExample], catalog: Catalog
     ) -> List[GREDTrace]:
         """Traces for a list of examples (used by the experiment harness).
 
-        Routes through :meth:`trace_batch`; pass a
-        :class:`~repro.runtime.runner.BatchRunner` with ``max_workers > 1`` to
-        overlap LLM latency across examples.  Raises
+        Routes through :meth:`trace_batch`.  Raises
         :class:`~repro.runtime.runner.BatchFailure` if any example fails —
         callers wanting failure isolation should use :meth:`trace_batch` and
         inspect the report.
         """
-        return self.trace_batch(examples, catalog, runner=runner).values(strict=True)
+        return self.trace_batch(examples, catalog).values(strict=True)

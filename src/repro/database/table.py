@@ -30,8 +30,8 @@ class Table:
         self._typed_store: Optional[Dict[str, TypedColumn]] = None
         self._column_statistics: Dict[str, ColumnStatistics] = {}
         self._statistics: Optional[TableStatistics] = None
-        # Guards cache build/invalidate: evaluation and fuzz threads sharing one
-        # Table can otherwise race a half-built store against
+        # Guards cache build/invalidate: a caller's threads sharing one Table
+        # can otherwise race a half-built store against
         # refresh_columns()/insert().
         # Reentrant because typed_store() builds from column_store() under it.
         self._store_lock = threading.RLock()
@@ -98,9 +98,8 @@ class Table:
         :meth:`repro.sql.SQLiteBackend.refresh`.
 
         Build and invalidate are serialised by a lock so concurrent readers
-        (evaluation and fuzz threads on a :class:`BatchRunner` sharing the
-        table) never observe a half-built store; the returned dict is
-        immutable by convention.
+        (a caller's threads sharing the table) never observe a half-built
+        store; the returned dict is immutable by convention.
         """
         store = self._column_store
         if store is None:

@@ -74,10 +74,9 @@ class TextEmbedder:
             for prefix in _PREFIXES
         )
         #: Number of texts embedded so far (one per ``embed`` call, the batch
-        #: size per ``embed_batch`` call).  Index snapshots are asserted
-        #: against this counter: loading a persisted library must not embed.
+        #: size per ``embed_batch`` call).
         self.texts_embedded = 0
-        # embeds run concurrently from BatchRunner search workers; the
+        # embeds may run concurrently from a caller's threads; the
         # read-modify-write must not lose increments
         self._counter_lock = threading.Lock()
 
@@ -128,38 +127,6 @@ class TextEmbedder:
     @property
     def is_fitted(self) -> bool:
         return self._fitted
-
-    # -- persistence -------------------------------------------------------
-
-    def to_state(self) -> Dict[str, object]:
-        """JSON-serialisable snapshot of the configuration and fitted IDF."""
-        return {
-            "config": {
-                "dimensions": self.config.dimensions,
-                "char_n": self.config.char_n,
-                "use_words": self.config.use_words,
-                "seed": self.config.seed,
-            },
-            "fitted": self._fitted,
-            "idf": dict(self._idf),
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "TextEmbedder":
-        """Rebuild an embedder that scores identically to the one saved."""
-        config = dict(state.get("config", {}))
-        embedder = cls(
-            EmbedderConfig(
-                dimensions=int(config.get("dimensions", 512)),
-                char_n=int(config.get("char_n", 3)),
-                use_words=bool(config.get("use_words", True)),
-                seed=int(config.get("seed", 13)),
-            )
-        )
-        embedder._idf = {str(term): float(value) for term, value in dict(state.get("idf", {})).items()}
-        embedder._terms = embedder._term_tables(embedder._idf)
-        embedder._fitted = bool(state.get("fitted", False))
-        return embedder
 
     # -- embedding ---------------------------------------------------------
 

@@ -10,18 +10,16 @@ last search are embedded in one ``embed_batch`` call — and delegates storage
 and search to a :class:`~repro.index.VectorIndex` backend selected by an
 :class:`~repro.index.IndexConfig`: exact brute-force search (the default, and
 the historical behaviour) or IVF-style partitioned search for large
-libraries.  Prepared libraries can be persisted with :meth:`VectorStore.save`
-and restored with :meth:`VectorStore.load` without re-embedding anything.
+libraries.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.embeddings.embedder import TextEmbedder
-from repro.index import IndexConfig, SearchHit, VectorIndex, build_index
-from repro.index.snapshot import PayloadCodec, load_index, save_index
+from repro.index import IndexConfig, SearchHit, build_index
 
 PayloadT = TypeVar("PayloadT")
 
@@ -38,26 +36,17 @@ class VectorStore(Generic[PayloadT]):
     library.  Searches are thread-safe — the index backends snapshot their
     storage under a lock, so a search interleaved with concurrent ``add``
     calls always pairs every score with that entry's own key and payload —
-    which lets a :class:`~repro.runtime.runner.BatchRunner` issue queries
-    from many workers against one shared store.
+    which lets a caller's threads issue queries against one shared store.
 
     Args:
         embedder: the text embedder shared with the caller (queries and
             library entries must embed in the same space).
         config: backend selection and tuning; ``None`` means exact search.
-        index: a pre-built index instance (overrides ``config``), used by
-            :meth:`load` and by tests that construct backends directly.
     """
 
-    def __init__(
-        self,
-        embedder: TextEmbedder,
-        config: Optional[IndexConfig] = None,
-        index: Optional[VectorIndex] = None,
-    ):
+    def __init__(self, embedder: TextEmbedder, config: Optional[IndexConfig] = None):
         self.embedder = embedder
-        self.index = index if index is not None else build_index(config or IndexConfig())
-        self._texts: List[str] = []
+        self.index = build_index(config or IndexConfig())
         self._pending: List[Tuple[str, str, PayloadT]] = []
         self._lock = threading.Lock()
 
@@ -74,7 +63,6 @@ class VectorStore(Generic[PayloadT]):
     def add(self, key: str, text: str, payload: PayloadT) -> None:
         """Add one entry; it is embedded lazily on the next search."""
         with self._lock:
-            self._texts.append(text)
             self._pending.append((key, text, payload))
 
     def add_many(self, entries: Iterable[Tuple[str, str, PayloadT]]) -> None:
@@ -86,7 +74,6 @@ class VectorStore(Generic[PayloadT]):
         """
         with self._lock:
             for key, text, payload in entries:
-                self._texts.append(text)
                 self._pending.append((key, text, payload))
 
     def flush(self) -> None:
@@ -123,55 +110,3 @@ class VectorStore(Generic[PayloadT]):
             return [[] for _ in queries]
         self.flush()
         return self.index.search_matrix(self.embedder.embed_batch(list(queries)), top_k)
-
-    def texts(self) -> List[str]:
-        with self._lock:
-            return list(self._texts)
-
-    def payloads(self) -> List[PayloadT]:
-        # the index snapshot must be taken under the store lock: a concurrent
-        # flush between the two reads would drop its in-flight entries from
-        # both halves of the result (same lock order as flush, so no deadlock)
-        with self._lock:
-            _, _, payloads = self.index.snapshot()
-            return list(payloads) + [payload for _, _, payload in self._pending]
-
-    # -- persistence -------------------------------------------------------
-
-    def save(
-        self,
-        path: str,
-        codec: Optional[PayloadCodec] = None,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> str:
-        """Persist the library (flushing pending entries first) to ``path``.
-
-        Payloads cross the disk boundary through ``codec`` (JSON identity by
-        default); ``meta`` is caller metadata returned verbatim by
-        :func:`repro.index.snapshot.load_index`.
-        """
-        self.flush()
-        ensure_trained = getattr(self.index, "ensure_trained", None)
-        if callable(ensure_trained):
-            # snapshot the trained structures (k-means centroids) too, so a
-            # restored library answers its first query without retraining
-            ensure_trained()
-        return save_index(self.index, path, texts=self.texts(), codec=codec, meta=meta)
-
-    @classmethod
-    def load(
-        cls,
-        path: str,
-        embedder: TextEmbedder,
-        codec: Optional[PayloadCodec] = None,
-    ) -> "VectorStore[PayloadT]":
-        """Restore a saved library without re-embedding any entry.
-
-        ``embedder`` must embed queries in the same space the snapshot was
-        built in (same configuration and fitted state) for scores to match
-        the original store.
-        """
-        index, texts, _ = load_index(path, codec=codec)
-        store: "VectorStore[PayloadT]" = cls(embedder, index=index)
-        store._texts = list(texts)
-        return store

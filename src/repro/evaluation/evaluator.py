@@ -7,16 +7,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.dvq.normalize import try_parse
-from repro.evaluation.metrics import (
-    EvaluationResult,
-    RepairSummary,
-    compare_queries,
-    evaluate_predictions,
-)
+from repro.evaluation.metrics import EvaluationResult, RepairSummary, compare_queries
 from repro.executor.backend import BackendSpec, ExecutionBackend, resolve_backend
 from repro.nvbench.dataset import NVBenchDataset
 from repro.nvbench.example import NVBenchExample
-from repro.runtime.runner import BatchReport, BatchRunner
+from repro.runtime.runner import BatchReport, run_batch
 
 
 @dataclass
@@ -61,7 +56,14 @@ class EvaluationRun:
 
     @property
     def result(self) -> EvaluationResult:
-        return evaluate_predictions((record.predicted, record.target) for record in self.records)
+        """The aggregate accuracies: the records' component flags, summed."""
+        return EvaluationResult(
+            total=len(self.records),
+            vis_correct=sum(record.vis_correct for record in self.records),
+            axis_correct=sum(record.axis_correct for record in self.records),
+            data_correct=sum(record.data_correct for record in self.records),
+            overall_correct=sum(record.overall_correct for record in self.records),
+        )
 
     @property
     def execution_rate(self) -> Optional[float]:
@@ -84,13 +86,10 @@ class EvaluationRun:
 class ModelEvaluator:
     """Evaluate any object exposing ``predict(nlq, database) -> str``.
 
-    Predictions are executed through a
-    :class:`~repro.runtime.runner.BatchRunner`: with the default
-    ``max_workers=1`` the evaluation is a plain serial loop (bit-identical to
-    the historical behaviour); higher worker counts overlap model latency
-    across examples.  A prediction that raises is isolated — it is scored as
-    an empty (always wrong) prediction instead of aborting the run, with a
-    ``warnings.warn`` and the count surfaced on
+    Predictions run one after another through
+    :func:`~repro.runtime.runner.run_batch`.  A prediction that raises is
+    isolated — it is scored as an empty (always wrong) prediction instead of
+    aborting the run, with a ``warnings.warn`` and the count surfaced on
     :attr:`EvaluationRun.failure_count` — and the underlying
     :class:`~repro.runtime.runner.BatchReport` of the last run is kept on
     :attr:`last_report` for timing and failure inspection.
@@ -100,23 +99,17 @@ class ModelEvaluator:
     :class:`~repro.executor.backend.ExecutionBackend` instance), every
     prediction is additionally executed against its target database and
     :attr:`PredictionRecord.executes` / :attr:`EvaluationRun.execution_rate`
-    report whether it materialises a chart.  ``max_workers`` batches whole
-    predictions, never the operators of one execution check: the engine runs
-    each check serially.
-    The backend instance is kept across runs, so stateful engines (e.g.
-    SQLite) load each database once per evaluator.
+    report whether it materialises a chart.  The backend instance is kept
+    across runs, so stateful engines (e.g. SQLite) load each database once
+    per evaluator.  ``limit`` caps the examples per run (``None`` = all).
     """
 
     def __init__(
         self,
         limit: Optional[int] = None,
-        max_workers: int = 1,
-        runner: Optional[BatchRunner] = None,
         execution_backend: Optional[BackendSpec] = None,
     ):
         self.limit = limit
-        self.max_workers = max_workers
-        self._runner = runner
         self.execution_backend: Optional[ExecutionBackend] = (
             resolve_backend(execution_backend)
             if execution_backend is not None
@@ -132,15 +125,14 @@ class ModelEvaluator:
             model_name=model_name or type(model).__name__,
             dataset_name=dataset.name,
         )
-        examples = dataset.examples[: self.limit] if self.limit else dataset.examples
-        runner = self._runner or BatchRunner(max_workers=self.max_workers)
+        examples = dataset.examples if self.limit is None else dataset.examples[: self.limit]
         catalog = dataset.catalog
 
         def predict_one(example: NVBenchExample) -> str:
             return model.predict(example.nlq, catalog.get(example.db_id))
 
         repair_before = self._repair_snapshot(model)
-        report = runner.run(examples, predict_one)
+        report = run_batch(examples, predict_one)
         run.repair_summary = self._repair_delta(model, repair_before)
         self.last_report = report
         run.failure_count = report.failure_count

@@ -43,10 +43,6 @@ class WorkbenchConfig:
         seed: corpus seed; all downstream randomness derives from it.
         evaluation_limit: cap on examples per evaluation run (``None`` = all).
         gred_top_k: retrieval ``top_k`` used by the prepared GRED pipeline.
-        max_workers: worker threads for batched evaluation runs; ``1`` keeps
-            the historical serial loop (results are identical either way —
-            predictions are independent across examples).  Each execution
-            check itself runs serially on the engine.
         llm_cache: prepare GRED with ``use_llm_cache`` so repeated completion
             requests across variant test sets are served from memory.
         execution_backend: when set (``"columnar"``, ``"interpreter"`` or
@@ -60,15 +56,14 @@ class WorkbenchConfig:
             pipeline).  Uses ``execution_backend`` (falling back to the
             columnar engine) for the in-loop execution checks.
         index: retrieval-index configuration handed to the prepared GRED
-            (see :class:`~repro.index.IndexConfig`) — backend selection,
-            partitioning knobs and the optional library snapshot path.
+            (see :class:`~repro.index.IndexConfig`) — backend selection and
+            partitioning knobs.
     """
 
     scale: float = 0.15
     seed: int = 7
     evaluation_limit: Optional[int] = None
     gred_top_k: int = 10
-    max_workers: int = 1
     llm_cache: bool = True
     execution_backend: Optional[str] = None
     max_repair_rounds: int = 0
@@ -82,8 +77,8 @@ class Workbench:
     Corpus, robustness suite, trained baselines and the prepared GRED pipeline
     are each built once on first use and cached on the instance.  Every
     evaluation routes through :class:`~repro.evaluation.evaluator.ModelEvaluator`
-    and therefore the :mod:`repro.runtime` batch engine — see
-    :class:`WorkbenchConfig` for the ``max_workers`` / ``llm_cache`` knobs.
+    and therefore the :mod:`repro.runtime` batch loop — see
+    :class:`WorkbenchConfig` for the ``llm_cache`` knob.
     """
 
     config: WorkbenchConfig = field(default_factory=WorkbenchConfig)
@@ -247,7 +242,6 @@ class Workbench:
         backend = self.config.execution_backend or "columnar"
         evaluator = ModelEvaluator(
             limit=self.config.evaluation_limit,
-            max_workers=self.config.max_workers,
             execution_backend=backend,
         )
         (baseline_name, baseline), (repaired_name, repaired) = variants.items()
@@ -268,15 +262,9 @@ class Workbench:
 
     def evaluate(self, model: TextToVisModel, dataset: NVBenchDataset,
                  model_name: Optional[str] = None) -> EvaluationRun:
-        """Score ``model`` on ``dataset`` through the batched runtime.
-
-        Uses ``config.max_workers`` evaluation workers; since every example is
-        predicted independently, worker count changes wall-clock time only,
-        never the resulting numbers.
-        """
+        """Score ``model`` on ``dataset`` through the batched runtime."""
         evaluator = ModelEvaluator(
             limit=self.config.evaluation_limit,
-            max_workers=self.config.max_workers,
             execution_backend=self.config.execution_backend,
         )
         return evaluator.evaluate(model, dataset, model_name=model_name)

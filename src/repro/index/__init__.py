@@ -11,9 +11,8 @@ The subsystem splits retrieval into an embedding boundary (owned by
   most similar partitions.
 
 :class:`IndexConfig` selects and tunes the backend (:func:`build_index` is the
-factory), and :mod:`repro.index.snapshot` persists any index to disk as
-``np.savez`` arrays plus JSON payloads so prepared libraries survive process
-restarts.
+factory).  Libraries live in memory only: they are rebuilt from the
+training split on every run.
 """
 
 from repro.index.base import (
@@ -27,13 +26,6 @@ from repro.index.base import (
 )
 from repro.index.exact import ExactIndex
 from repro.index.partitioned import PartitionedIndex
-from repro.index.snapshot import (
-    JsonPayloadCodec,
-    PayloadCodec,
-    SnapshotError,
-    load_index,
-    save_index,
-)
 
 
 def build_index(config: IndexConfig) -> VectorIndex:
@@ -55,15 +47,10 @@ __all__ = [
     "PARTITIONED",
     "ExactIndex",
     "IndexConfig",
-    "JsonPayloadCodec",
     "PartitionedIndex",
-    "PayloadCodec",
     "SearchHit",
-    "SnapshotError",
     "VectorIndex",
     "build_index",
-    "load_index",
     "resolve_partition_count",
-    "save_index",
     "select_top_k",
 ]

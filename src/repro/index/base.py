@@ -8,24 +8,13 @@ delegates everything below the embedding boundary to a configured index.
 
 Two backends implement the protocol (see :mod:`repro.index.exact` and
 :mod:`repro.index.partitioned`); :func:`build_index` maps an
-:class:`IndexConfig` to an instance, and :mod:`repro.index.snapshot` persists
-any of them to disk.
+:class:`IndexConfig` to an instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Generic,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    TypeVar,
-    runtime_checkable,
-)
+from typing import Any, Generic, List, Protocol, Sequence, TypeVar, runtime_checkable
 
 import numpy as np
 
@@ -50,15 +39,11 @@ class IndexConfig:
         nprobe: how many partitions each query scans.  Larger values trade
             throughput for recall; ``nprobe == num_partitions`` degenerates
             to exact search.
-        snapshot_path: when set, retrieval libraries are persisted here after
-            preparation and reloaded on the next run instead of re-embedding
-            the corpus (see :meth:`repro.core.retriever.GREDRetriever.prepare`).
     """
 
     backend: str = EXACT
     num_partitions: int = 0
     nprobe: int = 8
-    snapshot_path: Optional[str] = None
 
 
 @dataclass
@@ -93,9 +78,6 @@ class VectorIndex(Protocol):
 
     def snapshot(self) -> Any:
         """A consistent ``(matrix, keys, payloads)`` view of the library."""
-        ...  # pragma: no cover - protocol stub
-
-    def state(self) -> Dict[str, Any]:
         ...  # pragma: no cover - protocol stub
 
 

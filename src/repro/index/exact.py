@@ -9,7 +9,7 @@ row in a single ``(library, queries)`` matrix multiplication.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -76,19 +76,3 @@ class ExactIndex:
                 ]
             )
         return results
-
-    def state(self) -> Dict[str, Any]:
-        """The serialisable core of the index (see :mod:`repro.index.snapshot`)."""
-        matrix, keys, payloads = self.snapshot()
-        return {
-            "backend": self.backend_name,
-            "keys": list(keys),
-            "payloads": list(payloads),
-            "matrix": matrix,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "ExactIndex":
-        index = cls()
-        index.add(state["keys"], np.asarray(state["matrix"]), state["payloads"])
-        return index

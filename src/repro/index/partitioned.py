@@ -17,7 +17,7 @@ rows, keeping incremental adds cheap without letting recall decay.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -119,13 +119,6 @@ class PartitionedIndex(ExactIndex):
         self._centroids = centroids[populated]
         self._trained_rows = len(matrix)
 
-    def ensure_trained(self) -> None:
-        """Train (or retrain) now if a search would; used before snapshotting
-        so saved libraries carry their centroids and warm starts skip k-means."""
-        with self._lock:
-            if self._needs_training(len(self._keys)):
-                self._train_locked()
-
     def _search_snapshot(self):
         """A consistent search-time view, retraining first when stale."""
         with self._lock:
@@ -200,7 +193,7 @@ class PartitionedIndex(ExactIndex):
             )
         return results
 
-    # -- introspection / persistence ----------------------------------------
+    # -- introspection ------------------------------------------------------
 
     @property
     def is_trained(self) -> bool:
@@ -209,50 +202,3 @@ class PartitionedIndex(ExactIndex):
     def partition_sizes(self) -> List[int]:
         with self._lock:
             return [len(rows) for rows in self._partition_rows]
-
-    def state(self) -> Dict[str, Any]:
-        with self._lock:
-            state = super().state()
-            state.update(
-                {
-                    "num_partitions": self.num_partitions,
-                    "nprobe": self.nprobe,
-                    "seed": self.seed,
-                    "kmeans_iterations": self.kmeans_iterations,
-                    "retrain_growth": self.retrain_growth,
-                    "trained_rows": self._trained_rows,
-                }
-            )
-            if self._centroids is not None:
-                assignment = np.full(self._trained_rows, -1)
-                for partition, rows in enumerate(self._partition_rows):
-                    assignment[rows] = partition
-                state["centroids"] = self._centroids
-                state["assignment"] = assignment
-            return state
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "PartitionedIndex":
-        index = cls(
-            num_partitions=int(state.get("num_partitions", 0)),
-            nprobe=int(state.get("nprobe", 8)),
-            seed=int(state.get("seed", 13)),
-            kmeans_iterations=int(state.get("kmeans_iterations", 8)),
-            retrain_growth=float(state.get("retrain_growth", 0.5)),
-        )
-        index.add(state["keys"], np.asarray(state["matrix"]), state["payloads"])
-        if "centroids" in state and state["centroids"] is not None:
-            with index._lock:
-                centroids = np.asarray(state["centroids"])
-                assignment = np.asarray(state["assignment"])
-                index._centroids = centroids
-                index._partition_rows = []
-                index._partition_matrices = []
-                index._partition_keys = []
-                for partition in range(len(centroids)):
-                    rows = np.flatnonzero(assignment == partition)
-                    index._partition_rows.append(rows)
-                    index._partition_matrices.append(index._matrix[rows])
-                    index._partition_keys.append(tuple(index._keys[row] for row in rows))
-                index._trained_rows = int(state.get("trained_rows", len(index._keys)))
-        return index

@@ -58,8 +58,8 @@ class CacheStatsMiddleware:
     per-stage cache effectiveness without touching any stage code.
 
     The counters are snapshots of the *shared* cache, so when traces run
-    concurrently (``BatchRunner`` with ``max_workers > 1``) a stage's delta
-    can include requests issued by sibling threads — treat per-stage numbers
+    concurrently (on a caller's threads) a stage's delta can include
+    requests issued by sibling threads — treat per-stage numbers
     as exact under serial execution and as approximate attribution under
     concurrency (the cache's own :class:`~repro.runtime.cache.CacheStats`
     stay exact either way).

@@ -6,35 +6,25 @@ harness:
 
 * :class:`LLMCache` — memoizes chat completions keyed on the full request,
   with hit/miss statistics per pipeline behaviour.
-* :class:`BatchRunner` / :class:`BatchReport` — maps a callable over a dataset
-  on a configurable thread pool with failure isolation, progress reporting and
-  per-item timing.
+* :func:`run_batch` / :class:`BatchReport` — maps a callable over a dataset
+  in one serial loop with failure isolation and per-item timing.
 * :mod:`repro.runtime.timing` — aggregates the per-stage durations that
   ``GRED.trace`` records.
-* :class:`LatencyChatModel` — simulates remote-LLM latency so benchmarks can
-  demonstrate batched speed-ups offline.
 """
 
 from repro.runtime.cache import CacheStats, LLMCache, behaviour_of
-from repro.runtime.latency import LatencyChatModel
-from repro.runtime.runner import (
-    BatchFailure,
-    BatchItemResult,
-    BatchReport,
-    BatchRunner,
-)
+from repro.runtime.runner import BatchFailure, BatchItemResult, BatchReport, run_batch
 from repro.runtime.timing import StageStat, aggregate_stage_timings, format_stage_table
 
 __all__ = [
     "BatchFailure",
     "BatchItemResult",
     "BatchReport",
-    "BatchRunner",
     "CacheStats",
     "LLMCache",
-    "LatencyChatModel",
     "StageStat",
     "aggregate_stage_timings",
     "behaviour_of",
     "format_stage_table",
+    "run_batch",
 ]

@@ -1,30 +1,21 @@
-"""Batched execution over a dataset with workers, timing and failure isolation.
+"""Batched execution over a dataset with timing and failure isolation.
 
-:class:`BatchRunner` is the execution engine behind ``GRED.predict_batch``,
-:class:`~repro.evaluation.evaluator.ModelEvaluator` and the benchmark harness.
-It maps a callable over a sequence of items, optionally on a thread pool, and
-returns a :class:`BatchReport` that preserves input order, isolates failures
-(one bad example records an error instead of aborting the run) and carries
-per-item wall-clock timings.
-
-With ``max_workers=1`` the runner degenerates to a plain serial loop, so the
-batched path is bit-identical to historical serial behaviour; higher worker
-counts overlap the latency of chat-model calls (the dominant cost against a
-real LLM endpoint).
+:func:`run_batch` is the loop behind ``GRED.trace_batch``,
+:class:`~repro.evaluation.evaluator.ModelEvaluator` and the differential
+fuzzer.  It maps a callable over a sequence of items, one after another on
+the calling thread, and returns a :class:`BatchReport` that preserves input
+order, isolates failures (one bad example records an error instead of
+aborting the run) and carries per-item wall-clock timings.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Generic, List, Optional, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, List, Optional, TypeVar
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
-
-ProgressCallback = Callable[[int, int], None]
 
 
 class BatchFailure(RuntimeError):
@@ -51,7 +42,6 @@ class BatchReport(Generic[ResultT]):
 
     items: List[BatchItemResult] = field(default_factory=list)
     wall_seconds: float = 0.0
-    max_workers: int = 1
 
     def __len__(self) -> int:
         return len(self.items)
@@ -87,92 +77,27 @@ class BatchReport(Generic[ResultT]):
 
     @property
     def busy_seconds(self) -> float:
-        """Summed per-item compute time (= wall time of an ideal serial run)."""
+        """Summed per-item compute time."""
         return sum(item.seconds for item in self.items)
 
     def summary(self) -> str:
         return (
             f"{self.ok_count}/{len(self.items)} ok in {self.wall_seconds:.2f}s "
-            f"({self.items_per_second:.1f} items/s, {self.max_workers} workers)"
+            f"({self.items_per_second:.1f} items/s)"
         )
 
 
-class BatchRunner:
-    """Maps a callable over items with a configurable thread pool.
-
-    Args:
-        max_workers: ``1`` runs a plain serial loop (deterministic baseline);
-            ``n > 1`` uses a thread pool of ``n`` workers.
-        progress: optional ``(done, total)`` callback invoked after every item
-            (serialised by an internal lock, so it may mutate shared state).
-        fail_fast: when ``True``, re-raise the first failure after the batch
-            drains instead of recording it; the default isolates failures.
-    """
-
-    def __init__(
-        self,
-        max_workers: int = 1,
-        progress: Optional[ProgressCallback] = None,
-        fail_fast: bool = False,
-    ):
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self.progress = progress
-        self.fail_fast = fail_fast
-
-    def _run_one(self, index: int, item: ItemT, fn: Callable[[ItemT], ResultT]) -> BatchItemResult:
-        started = time.perf_counter()
+def run_batch(items: Iterable[ItemT], fn: Callable[[ItemT], ResultT]) -> BatchReport:
+    """Apply ``fn`` to every item in order, recording each value or error."""
+    report: BatchReport = BatchReport()
+    started = time.perf_counter()
+    for index, item in enumerate(items):
+        item_started = time.perf_counter()
         try:
-            value = fn(item)
-            return BatchItemResult(index=index, value=value, seconds=time.perf_counter() - started)
-        except Exception as error:  # noqa: BLE001 - failure isolation is the point
-            return BatchItemResult(
-                index=index,
-                error=f"{type(error).__name__}: {error}",
-                seconds=time.perf_counter() - started,
-            )
-
-    def run(self, items: Sequence[ItemT], fn: Callable[[ItemT], ResultT]) -> BatchReport:
-        """Execute ``fn`` over every item, returning results in input order."""
-        items = list(items)
-        results: List[Optional[BatchItemResult]] = [None] * len(items)
-        done = 0
-        lock = threading.Lock()
-        started = time.perf_counter()
-
-        def finish(result: BatchItemResult) -> None:
-            nonlocal done
-            results[result.index] = result
-            if self.progress is not None:
-                with lock:
-                    done += 1
-                    self.progress(done, len(items))
-
-        if self.max_workers == 1 or len(items) <= 1:
-            for index, item in enumerate(items):
-                finish(self._run_one(index, item, fn))
-        else:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                futures = [
-                    pool.submit(self._run_one, index, item, fn)
-                    for index, item in enumerate(items)
-                ]
-                # completion order, so progress ticks as items actually finish;
-                # results land in their input slot via BatchItemResult.index
-                for future in as_completed(futures):
-                    finish(future.result())
-
-        report = BatchReport(
-            items=[result for result in results if result is not None],
-            wall_seconds=time.perf_counter() - started,
-            max_workers=self.max_workers,
-        )
-        if self.fail_fast and report.failure_count:
-            first = report.failures()[0]
-            raise BatchFailure(f"item {first.index} failed: {first.error}")
-        return report
-
-    def map(self, items: Sequence[ItemT], fn: Callable[[ItemT], ResultT]) -> List[ResultT]:
-        """Like :meth:`run` but returns plain values, raising on any failure."""
-        return self.run(items, fn).values(strict=True)
+            value, error = fn(item), None
+        except Exception as exc:  # noqa: BLE001 - failure isolation is the point
+            value, error = None, f"{type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - item_started
+        report.items.append(BatchItemResult(index, value, error, seconds))
+    report.wall_seconds = time.perf_counter() - started
+    return report

@@ -155,7 +155,7 @@ class SQLiteBackend:
             if os.path.exists(target):
                 os.remove(target)
         # the backend serialises all access through its own lock, so sharing
-        # the connection across evaluator worker threads is safe
+        # the connection across a caller's threads is safe
         return sqlite3.connect(target, check_same_thread=False)
 
     def _load(self, connection: sqlite3.Connection, database: Database) -> None:

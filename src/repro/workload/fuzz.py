@@ -10,10 +10,9 @@ and the harness prints exactly that as a paste-ready snippet, after
 automatically shrinking the query with
 :func:`~repro.workload.minimize.minimize_query`.
 
-Execution fans out over a :class:`~repro.runtime.runner.BatchRunner` thread
-pool.  The SQLite backend releases the GIL while the pure-Python engines do
-not, so modest worker counts (2-4) already overlap a useful fraction of the
-wall clock; ``max_workers=1`` gives a deterministic serial sweep.
+Queries run one after another through
+:func:`~repro.runtime.runner.run_batch`, which records a query that raises
+as a generator error instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.database.database import Database
 from repro.dvq import parse_dvq, serialize_dvq
 from repro.dvq.nodes import DVQuery
 from repro.executor import ColumnarBackend, InterpreterBackend
-from repro.runtime.runner import BatchRunner
+from repro.runtime.runner import run_batch
 from repro.sql import SQLiteBackend
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.minimize import (
@@ -132,11 +131,8 @@ class DifferentialFuzzer:
             ``generator_factory(base_seed + i)``, so a failing index is
             reproducible in isolation.
         base_seed: offset for per-query seeds.
-        max_workers: BatchRunner thread-pool width.
         minimize: shrink every mismatch to a minimal reproducer (on by
             default; turn off for raw-speed sweeps).
-        progress: optional ``(done, total)`` callback forwarded to the
-            runner.
     """
 
     def __init__(
@@ -145,9 +141,7 @@ class DifferentialFuzzer:
         engines: Optional[Dict[str, object]] = None,
         generator_factory: Optional[Callable[[int], object]] = None,
         base_seed: int = 0,
-        max_workers: int = 1,
         minimize: bool = True,
-        progress: Optional[Callable[[int, int], None]] = None,
     ):
         self.database = database
         self.engines = default_engine_matrix() if engines is None else engines
@@ -159,9 +153,7 @@ class DifferentialFuzzer:
             )
         self.generator_factory = generator_factory
         self.base_seed = base_seed
-        self.max_workers = max_workers
         self.minimize = minimize
-        self.progress = progress
         self.reference = InterpreterBackend()
 
     # -- generation ----------------------------------------------------------
@@ -176,8 +168,7 @@ class DifferentialFuzzer:
         """Fuzz ``count`` queries; returns the aggregate report."""
         started = time.perf_counter()
         report = FuzzReport(total=count, engines=tuple(self.engines))
-        runner = BatchRunner(max_workers=self.max_workers, progress=self.progress)
-        batch = runner.run(range(count), self._check_one)
+        batch = run_batch(range(count), self._check_one)
         for item in batch.items:
             if not item.ok:
                 report.generator_errors.append(f"index {item.index}: {item.error}")
@@ -242,10 +233,8 @@ def fuzz_database(
     database: Database,
     count: int,
     base_seed: int = 0,
-    max_workers: int = 1,
     portable_subset: bool = True,
     max_join_cost: int = 2_000_000,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> FuzzReport:
     """One-call sweep used by tests, benchmarks and ``examples/fuzz_engines.py``."""
     cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -258,7 +247,5 @@ def fuzz_database(
             stats_cache=cache,
         ),
         base_seed=base_seed,
-        max_workers=max_workers,
-        progress=progress,
     )
     return fuzzer.run(count)

@@ -1,6 +1,7 @@
 """Tests for the relational substrate and the DVQ executor."""
 
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,17 +97,15 @@ class TestColumnStoreThreadSafety:
     """
 
     def test_concurrent_store_builds_are_consistent(self, hr_database):
-        from repro.runtime.runner import BatchRunner
-
         table = hr_database.table("employees")
         column = table.canonical_column("SALARY")
         expected = [row[column] for row in table.rows]
-        runner = BatchRunner(max_workers=8)
         for _ in range(25):
             table.refresh_columns()
-            stores = runner.map(
-                range(8), lambda _: (table.column_store(), table.typed_store())
-            )
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                stores = list(
+                    pool.map(lambda _: (table.column_store(), table.typed_store()), range(8))
+                )
             first_lists, first_typed = stores[0]
             for lists, typed in stores[1:]:
                 # one build per invalidation: everyone sees the same object
@@ -223,8 +222,6 @@ class TestGroupCodeCache:
         assert builds == [old_region, new_region]
 
     def test_threaded_double_builds_agree(self, hr_database):
-        from repro.runtime.runner import BatchRunner
-
         query = parse_dvq(
             "Visualize BAR SELECT FIRST_NAME , COUNT(FIRST_NAME) FROM employees "
             "JOIN departments ON employees.DEPARTMENT_ID = departments.DEPARTMENT_ID "
@@ -234,16 +231,16 @@ class TestGroupCodeCache:
         assert expected
         engine = ColumnarBackend()
         table = hr_database.table("employees")
-        runner = BatchRunner(max_workers=8)
         interval = sys.getswitchinterval()
         # switch threads often, so two of them build one column's codes at once
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(25):
                 table.refresh_columns()
-                results = runner.map(
-                    range(8), lambda _: engine.execute(query, hr_database).rows
-                )
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    results = list(
+                        pool.map(lambda _: engine.execute(query, hr_database).rows, range(8))
+                    )
                 assert all(rows == expected for rows in results)
                 first_name = table.typed_store()["FIRST_NAME"]
                 codes, count = first_name.group_codes

@@ -496,7 +496,37 @@ _NUMBER_POSITIONS = [
 ]
 
 
+#: What a corrupted DVQ can gain: the lexer's tricky code points and the
+#: grammar's punctuation.
+_INSERTED_CHARACTERS = _TRICKY_CHARACTERS + list("'\"()<>=!,.*-")
+
+
+def _corrupt_dvq(draw, text):
+    """``text`` truncated, with a range spliced out, with one character
+    inserted, or with its whitespace-separated tokens shuffled."""
+    mutation = draw(st.sampled_from(("truncate", "splice", "insert", "shuffle")))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    if mutation == "truncate":
+        return text[:at]
+    if mutation == "splice":
+        return text[:at] + text[draw(st.integers(min_value=at, max_value=len(text))):]
+    if mutation == "insert":
+        return text[:at] + draw(st.sampled_from(_INSERTED_CHARACTERS)) + text[at:]
+    return " ".join(draw(st.permutations(text.split())))
+
+
 class TestDVQProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_dvq_text_parses_or_raises_dvq_error(self, small_dataset, data):
+        corpus = sorted({example.dvq for example in small_dataset.examples})
+        text = data.draw(st.one_of(dvq_queries().map(serialize_dvq), st.sampled_from(corpus)))
+        corrupted = _corrupt_dvq(data.draw, text)
+        try:
+            parse_dvq(corrupted)
+        except DVQError:
+            pass
+
     @settings(max_examples=300, deadline=None)
     @given(
         template=st.sampled_from(_NUMBER_POSITIONS),

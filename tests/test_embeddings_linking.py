@@ -1,7 +1,6 @@
 """Tests for the embedding substrate and the schema linker."""
 
 import hashlib
-import json
 import re
 import sys
 import threading
@@ -82,11 +81,11 @@ class ReferenceEmbedder(TextEmbedder):
     def embed(self, text):
         with self._counter_lock:
             self.texts_embedded += 1
-        return reference_embed(self.config, self.to_state()["idf"], text)
+        return reference_embed(self.config, self._idf, text)
 
 
 def assert_matches_reference(embedder, texts):
-    idf = embedder.to_state()["idf"]
+    idf = embedder._idf
     for text in texts:
         vector = embedder.embed(text)
         assert vector.tobytes() == reference_embed(embedder.config, idf, text).tobytes(), text
@@ -172,6 +171,15 @@ class TestTextEmbedder:
     def test_empty_batch(self):
         assert TextEmbedder().embed_batch([]).shape[0] == 0
 
+    def test_counter_counts_every_embedded_text(self):
+        embedder = TextEmbedder(EmbedderConfig(dimensions=32))
+        embedder.fit(["alpha beta", "gamma delta"])
+        assert embedder.texts_embedded == 0  # fitting embeds nothing
+        embedder.embed("alpha")
+        embedder.embed_batch(["beta", "gamma", "delta"])
+        embedder.embed_batch([])
+        assert embedder.texts_embedded == 4
+
     @settings(max_examples=30, deadline=None)
     @given(st.text(min_size=1, max_size=60))
     def test_any_text_embeds_without_error(self, text):
@@ -206,13 +214,11 @@ def corpus_texts(small_dataset, robustness_suite):
 
 @pytest.fixture(scope="module")
 def oracle_embedders(corpus_texts):
-    """A fitted, a restored and an unfitted embedder for every oracle config."""
+    """A fitted and an unfitted embedder for every oracle config."""
     train, _ = corpus_texts
     embedders = []
     for config in ORACLE_CONFIGS:
-        fitted = TextEmbedder(config).fit(train)
-        restored = TextEmbedder.from_state(json.loads(json.dumps(fitted.to_state())))
-        embedders.extend([fitted, restored, TextEmbedder(config)])
+        embedders.extend([TextEmbedder(config).fit(train), TextEmbedder(config)])
     return embedders
 
 

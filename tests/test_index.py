@@ -1,32 +1,23 @@
 """Tests for the pluggable vector-index subsystem (`repro.index`).
 
 Covers the backend contract (exact == brute force, partitioned == exact at
-full probe), the deterministic top-K
-tie-break, concurrent add/search consistency through a shared store, and
-snapshot persistence round-trips at both the store and the retriever level.
+full probe), the deterministic top-K tie-break, concurrent add/search
+consistency through a shared store, and the in-memory libraries that
+``GREDRetriever.prepare`` builds.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.core.errors import NotFittedError
 from repro.core.retriever import GREDRetriever
 from repro.embeddings import EmbedderConfig, TextEmbedder, VectorStore
-from repro.index import (
-    ExactIndex,
-    IndexConfig,
-    PartitionedIndex,
-    SnapshotError,
-    build_index,
-    load_index,
-    save_index,
-    select_top_k,
-)
-from repro.nvbench.generator import build_corpus
-from repro.runtime import BatchRunner
+from repro.index import ExactIndex, IndexConfig, PartitionedIndex, build_index, select_top_k
 
 
 def unit_rows(rng, count, dims):
@@ -112,6 +103,20 @@ class TestExactIndex:
         assert hits[0].key == "b5" and hits[0].payload == 15
 
 
+    def test_snapshot_is_not_changed_by_later_adds(self):
+        rng = np.random.default_rng(89)
+        rows = unit_rows(rng, 5, 8)
+        index = ExactIndex()
+        index.add(["a", "b", "c"], rows[:3], [1, 2, 3])
+        matrix, keys, payloads = index.snapshot()
+        index.add(["d", "e"], rows[3:], [4, 5])
+        assert keys == ("a", "b", "c") and payloads == (1, 2, 3)
+        assert np.array_equal(matrix, rows[:3])
+        matrix, keys, payloads = index.snapshot()
+        assert keys == ("a", "b", "c", "d", "e") and payloads == (1, 2, 3, 4, 5)
+        assert np.array_equal(matrix, rows)
+
+
 class TestPartitionedIndex:
     def _filled(self, rng, count=600, dims=24, **kwargs):
         rows, _ = clustered_rows(rng, count, dims, clusters=12)
@@ -119,6 +124,32 @@ class TestPartitionedIndex:
         index = PartitionedIndex(**kwargs)
         index.add(keys, rows, list(range(count)))
         return index, rows, keys
+
+    def test_training_waits_for_the_first_search(self):
+        rng = np.random.default_rng(97)
+        index, rows, keys = self._filled(rng, count=300, num_partitions=6, nprobe=2)
+        assert not index.is_trained and index.partition_sizes() == []
+        index.search_matrix(rows[:1], 1)
+        assert index.is_trained
+        assert sum(index.partition_sizes()) == 300
+        matrix, snapshot_keys, _ = index.snapshot()
+        assert snapshot_keys == tuple(keys) and np.array_equal(matrix, rows)
+
+    def test_same_library_and_seed_give_identical_hits(self):
+        rng = np.random.default_rng(67)
+        rows, _ = clustered_rows(rng, 400, 32, clusters=8)
+        queries = unit_rows(rng, 6, 32)
+        runs = []
+        for _ in range(2):
+            index = PartitionedIndex(num_partitions=8, nprobe=3)
+            index.add([f"k{i:04d}" for i in range(400)], rows, list(range(400)))
+            runs.append(
+                [
+                    [(hit.key, hit.payload, hit.score) for hit in hits]
+                    for hits in index.search_matrix(queries, 4)
+                ]
+            )
+        assert runs[0] == runs[1]
 
     def test_full_probe_equals_exact(self):
         rng = np.random.default_rng(23)
@@ -240,8 +271,10 @@ class TestConcurrentRetrieval:
         writer_thread = threading.Thread(target=writer)
         writer_thread.start()
         try:
-            runner = BatchRunner(max_workers=6)
-            batched = runner.map(queries, lambda query: (query, store.search(query, top_k=8)))
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                batched = list(
+                    pool.map(lambda query: (query, store.search(query, top_k=8)), queries)
+                )
             many = store.search_many(queries[:8], top_k=8)
         finally:
             stop_adding.set()
@@ -268,178 +301,102 @@ class TestConcurrentRetrieval:
                 assert np.isclose(hit.score, float(embedder.embed(text) @ query_vector))
         assert checked >= len(results) * 8
 
-
-class TestSnapshotPersistence:
-    def test_store_round_trip_is_bit_identical(self, tmp_path):
-        embedder = TextEmbedder(EmbedderConfig(dimensions=64))
-        store: VectorStore = VectorStore(embedder)
-        store.add_many((f"k{i}", f"entry {i} about {i % 9}", {"n": i}) for i in range(60))
-        expected = store.search_many(["entry about 4", "entry about 7"], top_k=6)
-
-        path = store.save(str(tmp_path / "lib"))
-        fresh_embedder = TextEmbedder(EmbedderConfig(dimensions=64))
-        loaded: VectorStore = VectorStore.load(path, fresh_embedder)
-        actual = loaded.search_many(["entry about 4", "entry about 7"], top_k=6)
-
-        assert [[(h.key, h.payload, h.score) for h in hits] for hits in actual] == [
-            [(h.key, h.payload, h.score) for h in hits] for hits in expected
-        ]
-        assert loaded.texts() == store.texts()
-        # only the two queries were embedded; the library came from disk
-        assert fresh_embedder.texts_embedded == 2
-
-    def test_partitioned_store_round_trip_keeps_training(self, tmp_path):
-        rng = np.random.default_rng(67)
-        rows, _ = clustered_rows(rng, 400, 32, clusters=8)
-        index = PartitionedIndex(num_partitions=8, nprobe=3)
-        index.add([f"k{i:04d}" for i in range(400)], rows, list(range(400)))
-        index.search_matrix(rows[:1], 1)  # train
-        expected = index.search_matrix(rows[:5], 4)
-
-        path = save_index(index, str(tmp_path / "part"))
-        loaded, _, _ = load_index(path)
-        assert isinstance(loaded, PartitionedIndex) and loaded.is_trained
-        actual = loaded.search_matrix(rows[:5], 4)
-        assert [[(h.key, h.score) for h in hits] for hits in actual] == [
-            [(h.key, h.score) for h in hits] for hits in expected
-        ]
-
-    def test_retriever_round_trip_with_fresh_embedder(self, tmp_path):
-        """Satellite: save a prepared retriever, reload into a fresh object,
-        and get bit-identical top-K on a seeded query set without re-embedding."""
-        dataset = build_corpus(scale=0.05, seed=17)
-        retriever = GREDRetriever().prepare(dataset.train)
-        queries = [example.nlq for example in dataset.test[:12]]
-        dvq_queries = [example.dvq for example in dataset.test[:12]]
-        expected_nlq = retriever.retrieve_by_nlq_many(queries, top_k=10)
-        expected_dvq = retriever.retrieve_by_dvq_many(dvq_queries, top_k=10)
-
-        directory = retriever.save(str(tmp_path / "retriever"))
-        restored = GREDRetriever(embedder=TextEmbedder(EmbedderConfig(dimensions=16)))
-        restored.load(directory)
-        assert restored.embedder.texts_embedded == 0  # nothing re-embedded on load
-
-        actual_nlq = restored.retrieve_by_nlq_many(queries, top_k=10)
-        actual_dvq = restored.retrieve_by_dvq_many(dvq_queries, top_k=10)
-        for expected, actual in ((expected_nlq, actual_nlq), (expected_dvq, actual_dvq)):
-            assert [[(h.key, h.score) for h in hits] for hits in actual] == [
-                [(h.key, h.score) for h in hits] for hits in expected
-            ]
-        # payloads survive the JSON codec as real examples
-        assert actual_nlq[0][0].payload == expected_nlq[0][0].payload
-
-    def test_partitioned_snapshot_is_saved_trained(self, tmp_path):
-        # prepare() saves before any search runs; the snapshot must still
-        # carry the k-means structures so warm starts skip training too
-        dataset = build_corpus(scale=0.05, seed=17)
-        config = IndexConfig(
-            backend="partitioned", num_partitions=8, nprobe=3,
-            snapshot_path=str(tmp_path / "plib"),
-        )
-        GREDRetriever(index_config=config).prepare(dataset.train)
-        restored = GREDRetriever(index_config=config)
-        restored.prepare(dataset.train)
-        assert restored.embedder.texts_embedded == 0
-        assert isinstance(restored.nlq_store.index, PartitionedIndex)
-        assert restored.nlq_store.index.is_trained  # no first-query k-means
-
-    def test_retuning_nprobe_keeps_the_snapshot(self, tmp_path):
-        dataset = build_corpus(scale=0.05, seed=17)
-        path = str(tmp_path / "plib")
-        GREDRetriever(
-            index_config=IndexConfig(backend="partitioned", nprobe=4, snapshot_path=path)
-        ).prepare(dataset.train)
-        retuned = GREDRetriever(
-            index_config=IndexConfig(backend="partitioned", nprobe=8, snapshot_path=path)
-        )
-        retuned.prepare(dataset.train)
-        assert retuned.embedder.texts_embedded == 0  # search knob: no rebuild
-        assert retuned.nlq_store.index.nprobe == 8  # current setting wins
-
     def test_embed_counter_is_exact_under_concurrency(self):
         embedder = TextEmbedder(EmbedderConfig(dimensions=16))
-        BatchRunner(max_workers=8).map(
-            [f"text {i}" for i in range(200)], embedder.embed
-        )
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(embedder.embed, [f"text {i}" for i in range(200)]))
         assert embedder.texts_embedded == 200
 
-    def test_prepare_uses_snapshot_and_skips_embedding(self, tmp_path):
-        dataset = build_corpus(scale=0.05, seed=17)
-        config = IndexConfig(snapshot_path=str(tmp_path / "lib"))
-        GREDRetriever(index_config=config).prepare(dataset.train)
 
-        fresh = GREDRetriever(index_config=config)
-        fresh.prepare(dataset.train)
-        assert fresh.embedder.texts_embedded == 0
-        assert fresh.retrieve_by_nlq(dataset.test[0].nlq, top_k=5)
+def hit_rows(results):
+    return [[(hit.key, hit.score) for hit in hits] for hits in results]
 
-    def test_prepare_rebuilds_on_stale_snapshot(self, tmp_path):
-        dataset = build_corpus(scale=0.05, seed=17)
-        config = IndexConfig(snapshot_path=str(tmp_path / "lib"))
-        GREDRetriever(index_config=config).prepare(dataset.train[:30])
 
-        fresh = GREDRetriever(index_config=config)
-        fresh.prepare(dataset.train[:40])  # different corpus -> digest mismatch
-        assert fresh.embedder.texts_embedded >= 80  # re-embedded both libraries
+class TestInMemoryRetriever:
+    """``GREDRetriever.prepare`` rebuilds both libraries in memory."""
 
-    def test_load_missing_snapshot_raises(self, tmp_path):
-        with pytest.raises(SnapshotError, match="No retriever snapshot"):
-            GREDRetriever().load(str(tmp_path / "nowhere"))
-        with pytest.raises(SnapshotError, match="No index snapshot"):
-            load_index(str(tmp_path / "nothing.npz"))
+    def test_library_is_embedded_once_then_reused(self, small_dataset):
+        train = small_dataset.train[:40]
+        retriever = GREDRetriever(dimensions=64).prepare(train)
+        embedder = retriever.embedder
+        assert embedder.texts_embedded == 0  # prepare only queues the entries
+        retriever.retrieve_by_nlq(train[0].nlq, top_k=3)
+        assert embedder.texts_embedded == 40 + 1
+        retriever.retrieve_by_dvq(train[0].dvq, top_k=3)
+        assert embedder.texts_embedded == 2 * 40 + 2
+        retriever.retrieve_by_nlq_many([example.nlq for example in train[:5]], top_k=3)
+        assert embedder.texts_embedded == 2 * 40 + 7
 
-    def test_prepare_recovers_from_malformed_meta(self, tmp_path):
-        dataset = build_corpus(scale=0.05, seed=17)
-        config = IndexConfig(snapshot_path=str(tmp_path / "lib"))
-        retriever = GREDRetriever(index_config=config)
-        retriever.prepare(dataset.train[:30])
-        digest = retriever._corpus_digest(list(dataset.train[:30]))
-        # valid JSON, matching digest, but a broken embedder block
-        (tmp_path / "lib" / "meta.json").write_text(
-            f'{{"digest": "{digest}", "embedder": null}}'
+    def test_prepare_replaces_the_previous_libraries(self, small_dataset):
+        first, second = small_dataset.train[:30], small_dataset.train[30:60]
+        retriever = GREDRetriever(dimensions=64).prepare(first)
+        retriever.retrieve_by_nlq(first[0].nlq, top_k=1)
+        retriever.prepare(second)
+        assert len(retriever.nlq_store) == len(retriever.dvq_store) == 30
+        wanted = {example.example_id for example in second}
+        results = retriever.retrieve_by_nlq_many(
+            [example.nlq for example in first[:5]], top_k=30
+        ) + retriever.retrieve_by_dvq_many([example.dvq for example in first[:5]], top_k=30)
+        assert all({hit.key for hit in hits} == wanted for hits in results)
+
+    def test_hits_carry_the_training_examples(self, small_dataset):
+        renamed = [
+            example.with_variant(db_id=f"{example.db_id}_rob")
+            for example in small_dataset.train[:30]
+        ]
+        retriever = GREDRetriever(dimensions=64).prepare(renamed)
+        for example in renamed[:5]:
+            hits = retriever.retrieve_by_nlq(example.nlq, top_k=5)
+            assert hits[0].payload.nlq == example.nlq
+            assert np.isclose(hits[0].score, 1.0)
+            for hit in hits:
+                assert any(hit.payload is entry for entry in renamed)
+                assert hit.key == hit.payload.example_id
+                assert hit.payload.db_id.endswith("_rob")
+
+    def test_two_preparations_of_one_corpus_agree_bit_for_bit(self, small_dataset):
+        nlqs = [example.nlq for example in small_dataset.test[:12]]
+        dvqs = [example.dvq for example in small_dataset.test[:12]]
+        runs = []
+        for _ in range(2):
+            retriever = GREDRetriever().prepare(small_dataset.train)
+            runs.append(
+                hit_rows(retriever.retrieve_by_nlq_many(nlqs, top_k=10))
+                + hit_rows(retriever.retrieve_by_dvq_many(dvqs, top_k=10))
+            )
+        assert runs[0] == runs[1]
+
+    def test_max_examples_caps_both_libraries(self, small_dataset):
+        retriever = GREDRetriever(dimensions=64).prepare(small_dataset.train, max_examples=12)
+        assert len(retriever.nlq_store) == len(retriever.dvq_store) == 12
+        kept = {example.example_id for example in small_dataset.train[:12]}
+        query = small_dataset.train[20]
+        assert {hit.key for hit in retriever.retrieve_by_nlq(query.nlq, top_k=50)} == kept
+        assert {hit.key for hit in retriever.retrieve_by_dvq(query.dvq, top_k=50)} == kept
+
+    def test_partitioned_libraries_at_full_probe_match_exact(self, small_dataset):
+        config = IndexConfig(backend="partitioned", num_partitions=4, nprobe=4)
+        exact = GREDRetriever(dimensions=64).prepare(small_dataset.train)
+        partitioned = GREDRetriever(dimensions=64, index_config=config).prepare(
+            small_dataset.train
         )
-        fresh = GREDRetriever(index_config=config)
-        fresh.prepare(dataset.train[:30])  # must rebuild, not crash
-        assert fresh.retrieve_by_nlq(dataset.test[0].nlq, top_k=3)
+        queries = [example.nlq for example in small_dataset.test[:10]]
+        expected = exact.retrieve_by_nlq_many(queries, top_k=8)
+        actual = partitioned.retrieve_by_nlq_many(queries, top_k=8)
+        index = partitioned.nlq_store.index
+        assert isinstance(index, PartitionedIndex) and index.is_trained
+        for left, right in zip(expected, actual):
+            assert [hit.key for hit in left] == [hit.key for hit in right]
+            assert np.allclose([hit.score for hit in left], [hit.score for hit in right])
 
-    def test_corrupt_snapshot_raises_snapshot_error(self, tmp_path):
-        target = tmp_path / "broken.npz"
-        target.write_bytes(b"not an npz archive")
-        with pytest.raises(SnapshotError, match="Corrupt index snapshot"):
-            load_index(str(target))
-
-    def test_prepare_recovers_from_truncated_snapshot(self, tmp_path):
-        dataset = build_corpus(scale=0.05, seed=17)
-        config = IndexConfig(snapshot_path=str(tmp_path / "lib"))
-        GREDRetriever(index_config=config).prepare(dataset.train[:30])
-        # simulate a crash mid-write: the archive exists but is garbage
-        (tmp_path / "lib" / "nlq.npz").write_bytes(b"partial write")
-        fresh = GREDRetriever(index_config=config)
-        fresh.prepare(dataset.train[:30])  # must rebuild, not crash
-        assert fresh.retrieve_by_nlq(dataset.test[0].nlq, top_k=3)
-
-    def test_partitioned_round_trip_keeps_tuning_knobs(self, tmp_path):
-        index = PartitionedIndex(
-            num_partitions=6, nprobe=2, seed=99, kmeans_iterations=5, retrain_growth=0.1
-        )
-        rng = np.random.default_rng(71)
-        rows = unit_rows(rng, 40, 16)
-        index.add([f"k{i}" for i in range(40)], rows, list(range(40)))
-        loaded, _, _ = load_index(save_index(index, str(tmp_path / "tuned")))
-        assert isinstance(loaded, PartitionedIndex)
-        assert loaded.seed == 99
-        assert loaded.kmeans_iterations == 5
-        assert loaded.retrain_growth == 0.1
-
-    def test_payload_field_change_invalidates_snapshot(self, tmp_path):
-        dataset = build_corpus(scale=0.05, seed=17)
-        config = IndexConfig(snapshot_path=str(tmp_path / "lib"))
-        GREDRetriever(index_config=config).prepare(dataset.train[:30])
-        # same ids/nlqs/dvqs, different payload field (the nvBench-Rob path)
-        renamed = [example.with_variant(db_id=f"{example.db_id}_rob")
-                   for example in dataset.train[:30]]
-        fresh = GREDRetriever(index_config=config)
-        fresh.prepare(renamed)
-        assert fresh.embedder.texts_embedded >= 60  # digest mismatch -> rebuilt
-        hit = fresh.retrieve_by_nlq(renamed[0].nlq, top_k=1)[0]
-        assert hit.payload.db_id.endswith("_rob")
+    @pytest.mark.parametrize(
+        "method, query",
+        [
+            ("retrieve_by_nlq", "Show the salary"),
+            ("retrieve_by_nlq_many", ["Show the salary"]),
+            ("retrieve_by_dvq_many", ["Visualize BAR"]),
+        ],
+    )
+    def test_retrieval_before_prepare_names_the_caller(self, method, query):
+        with pytest.raises(NotFittedError, match=rf"GREDRetriever\.{method} called before prepare"):
+            getattr(GREDRetriever(), method)(query, top_k=1)

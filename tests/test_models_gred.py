@@ -6,6 +6,7 @@ the paper's qualitative robustness story rather than absolute accuracy values.
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.dvq.normalize import try_parse
 from repro.evaluation import ModelEvaluator
 from repro.models import RGVisNetModel, Seq2VisModel, TransformerModel
 from repro.models.base import collect_training_columns, sketch_targets, signals_from_sketch
-from repro.runtime import BatchRunner
 
 
 @pytest.fixture(scope="module")
@@ -172,14 +172,17 @@ class TestGRED:
         )
         threaded_gred = GRED(config).fit(small_dataset.train, small_dataset.catalog)
         threaded = []
-        worker = threading.Thread(
-            target=lambda: threaded.extend(
-                threaded_gred.predict_batch(
-                    examples, robustness_suite.catalog, runner=BatchRunner(max_workers=8)
-                )
-            ),
-            daemon=True,
-        )
+
+        def trace_on_eight_threads():
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded.extend(pool.map(
+                    lambda example: threaded_gred.trace(
+                        example.nlq, robustness_suite.catalog.get(example.db_id)
+                    ),
+                    examples,
+                ))
+
+        worker = threading.Thread(target=trace_on_eight_threads, daemon=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -3,6 +3,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dvq import parse_dvq
 from repro.dvq.nodes import AggregateFunction, BinUnit, ChartType, SortDirection
@@ -245,7 +246,33 @@ def _repeat_last_column(prompt):
     )
 
 
+def _corrupt_prompt(draw, prompt):
+    """``prompt`` truncated, line-shuffled, short of one line, or with a
+    range of characters spliced out."""
+    mutation = draw(st.sampled_from(("truncate", "shuffle", "delete", "splice")))
+    lines = prompt.split("\n")
+    if mutation == "shuffle":
+        return "\n".join(draw(st.permutations(lines)))
+    if mutation == "delete":
+        line = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        return "\n".join(lines[:line] + lines[line + 1:])
+    at = draw(st.integers(min_value=0, max_value=len(prompt)))
+    if mutation == "truncate":
+        return prompt[:at]
+    return prompt[:at] + prompt[draw(st.integers(min_value=at, max_value=len(prompt))):]
+
+
 class TestPromptRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_prompts_still_get_a_completion(self, trace_prompts, data):
+        prompts = sorted(
+            prompt for log in trace_prompts.values() for texts in log.values() for prompt in texts
+        )
+        corrupted = _corrupt_prompt(data.draw, data.draw(st.sampled_from(prompts)))
+        answer = SimulatedChatModel().complete([ChatMessage(role="user", content=corrupted)])
+        assert isinstance(answer, str)
+
     def test_repeated_column_is_ignored(self, trace_prompts):
         model = SimulatedChatModel()
         checked = {}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import GRED, GREDConfig
+from repro.dvq.normalize import try_parse
 from repro.embeddings.embedder import EmbedderConfig, TextEmbedder
 from repro.embeddings.store import VectorStore
 from repro.evaluation import ModelEvaluator
@@ -15,12 +16,12 @@ from repro.llm.interface import ChatMessage, ChatModel, CompletionParams
 from repro.llm.simulated import SimulatedChatModel
 from repro.runtime import (
     BatchFailure,
-    BatchRunner,
     LLMCache,
-    LatencyChatModel,
     aggregate_stage_timings,
     format_stage_table,
+    run_batch,
 )
+from repro.runtime import runner as runner_module
 
 
 class CountingChatModel(ChatModel):
@@ -195,20 +196,32 @@ class TestIncrementalVectorStore:
         store.add("a", "alpha", 1)
         assert store.search_many(["alpha"], top_k=0) == [[]]
 
+    def test_flush_embeds_each_pending_entry_once(self, embedder):
+        store = VectorStore(embedder)
+        store.add_many((f"k{i}", f"entry {i}", i) for i in range(6))
+        assert (len(store), store.pending, len(store.index)) == (6, 6, 0)
+        store.flush()
+        assert (len(store), store.pending, len(store.index)) == (6, 0, 6)
+        store.flush()  # nothing pending: embeds nothing
+        assert embedder.texts_embedded == 6
 
-class TestBatchRunner:
-    def test_preserves_input_order_with_many_workers(self):
-        runner = BatchRunner(max_workers=8)
-        report = runner.run(list(range(40)), lambda n: n * n)
+
+class _FrozenClock:
+    """Stands in for the ``time`` module: the clock moves only when a test says."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def perf_counter(self):
+        return self.now
+
+
+class TestRunBatch:
+    def test_preserves_input_order(self):
+        report = run_batch(iter(range(40)), lambda n: n * n)
         assert report.values() == [n * n for n in range(40)]
         assert [item.index for item in report.items] == list(range(40))
-        assert report.max_workers == 8
-
-    def test_serial_and_parallel_agree(self):
-        items = list(range(25))
-        serial = BatchRunner(max_workers=1).run(items, lambda n: n + 1)
-        parallel = BatchRunner(max_workers=4).run(items, lambda n: n + 1)
-        assert serial.values() == parallel.values()
+        assert all(item.seconds >= 0 for item in report.items)
 
     def test_failure_isolation(self):
         def flaky(n):
@@ -216,7 +229,7 @@ class TestBatchRunner:
                 raise ValueError(f"bad item {n}")
             return n
 
-        report = BatchRunner(max_workers=4).run(list(range(10)), flaky)
+        report = run_batch(list(range(10)), flaky)
         assert report.failure_count == 2
         assert report.ok_count == 8
         assert [item.index for item in report.failures()] == [0, 5]
@@ -225,34 +238,97 @@ class TestBatchRunner:
         assert values[0] is None and values[5] is None and values[3] == 3
 
     def test_strict_values_raise_on_failure(self):
-        report = BatchRunner().run([1], lambda n: 1 / 0)
+        report = run_batch([1], lambda n: 1 / 0)
         with pytest.raises(BatchFailure, match="ZeroDivisionError"):
             report.values()
 
-    def test_fail_fast_reraises(self):
-        runner = BatchRunner(max_workers=2, fail_fast=True)
-        with pytest.raises(BatchFailure):
-            runner.run(list(range(4)), lambda n: 1 / (n - 2))
-
-    def test_progress_callback_sees_every_item(self):
-        seen = []
-        runner = BatchRunner(max_workers=4, progress=lambda done, total: seen.append((done, total)))
-        runner.run(list(range(12)), lambda n: n)
-        assert seen[-1] == (12, 12)
-        assert [done for done, _ in seen] == list(range(1, 13))
-
-    def test_map_returns_plain_values(self):
-        assert BatchRunner(max_workers=2).map([1, 2, 3], str) == ["1", "2", "3"]
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            BatchRunner(max_workers=0)
-
     def test_report_summary_and_throughput(self):
-        report = BatchRunner().run([1, 2], lambda n: n)
+        report = run_batch([1, 2], lambda n: n)
         assert "2/2 ok" in report.summary()
         assert report.items_per_second > 0
         assert report.busy_seconds >= 0
+
+    def test_runs_each_item_once_in_order_on_the_calling_thread(self):
+        events, threads = [], set()
+
+        def items():
+            for n in range(5):
+                events.append(("next", n))
+                yield n
+
+        def fn(n):
+            events.append(("call", n))
+            threads.add(threading.get_ident())
+            if n == 2:
+                raise KeyError(n)
+            return n
+
+        report = run_batch(items(), fn)
+        # one item is drawn, then run, before the next is drawn; a failure
+        # does not stop the loop
+        assert events == [(kind, n) for n in range(5) for kind in ("next", "call")]
+        assert threads == {threading.get_ident()}
+        assert report.values(strict=False) == [0, 1, None, 3, 4]
+
+    def test_items_are_timed_by_their_own_call(self, monkeypatch):
+        clock = _FrozenClock()
+        monkeypatch.setattr(runner_module, "time", clock)
+        costs = {"a": 0.5, "b": 2.0, "c": 0.25}
+
+        def work(key):
+            clock.now += costs[key]
+            if key == "b":
+                raise ValueError("slow and broken")
+            return key
+
+        report = run_batch(list(costs), work)
+        # a failed item is timed like any other
+        assert [item.seconds for item in report.items] == [0.5, 2.0, 0.25]
+        assert report.busy_seconds == report.wall_seconds == 2.75
+        assert report.items_per_second == 3 / 2.75
+
+    def test_throughput_is_zero_when_no_time_passes(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "time", _FrozenClock())
+        report = run_batch([1, 2, 3], lambda n: n)
+        assert report.wall_seconds == 0.0 and report.items_per_second == 0.0
+        assert report.summary() == "3/3 ok in 0.00s (0.0 items/s)"
+
+    def test_empty_input_gives_an_empty_report(self):
+        report = run_batch([], lambda n: n)
+        assert len(report) == 0 and report.values() == []
+        assert (report.ok_count, report.failure_count) == (0, 0)
+        assert report.summary().startswith("0/0 ok")
+
+    def test_none_results_count_as_successes(self):
+        report = run_batch([1, 2], lambda n: None)
+        assert report.ok_count == 2 and report.failures() == []
+        assert report.values() == [None, None]
+
+    def test_error_records_the_exception_type_and_message(self):
+        (item,) = run_batch(["x"], int).items
+        assert not item.ok and item.value is None
+        assert item.error == "ValueError: invalid literal for int() with base 10: 'x'"
+
+    def test_strict_values_name_the_count_and_first_failure(self):
+        report = run_batch([1, 0, 2, 0], lambda n: 10 // n)
+        with pytest.raises(
+            BatchFailure, match=r"^2/4 items failed; first failure at index 1: ZeroDivisionError"
+        ):
+            report.values()
+        assert report.values(strict=False) == [10, None, 5, None]
+
+    def test_interrupts_are_not_isolated(self):
+        calls = []
+
+        def fn(n):
+            calls.append(n)
+            if n == 1:
+                raise KeyboardInterrupt
+            return n
+
+        with pytest.raises(KeyboardInterrupt):
+            run_batch([0, 1, 2], fn)
+        assert calls == [0, 1]
 
 
 class TestStageTimings:
@@ -269,19 +345,6 @@ class TestStageTimings:
         assert "generate" in table and "mean ms" in table
 
 
-class TestLatencyChatModel:
-    def test_delegates_and_counts(self):
-        inner = CountingChatModel()
-        delayed = LatencyChatModel(inner, seconds_per_call=0.0)
-        assert delayed.complete_text("sys", "ping") == "echo:ping"
-        assert delayed.calls == 1 and inner.calls == 1
-        assert delayed.marker == "counted"
-
-    def test_rejects_negative_latency(self):
-        with pytest.raises(ValueError):
-            LatencyChatModel(CountingChatModel(), seconds_per_call=-1.0)
-
-
 class TestBatchedPipeline:
     @pytest.fixture(scope="class")
     def prepared(self, small_dataset):
@@ -289,11 +352,11 @@ class TestBatchedPipeline:
         return model, small_dataset
 
     def test_batched_predict_matches_serial(self, prepared):
-        """Regression: runner-driven predict_batch is bit-identical to serial traces."""
+        """Regression: predict_batch is bit-identical to a loop over trace."""
         model, dataset = prepared
         examples = dataset.test[:12]
         serial = [model.trace(example.nlq, dataset.catalog.get(example.db_id)) for example in examples]
-        batched = model.predict_batch(examples, dataset.catalog, runner=BatchRunner(max_workers=4))
+        batched = model.predict_batch(examples, dataset.catalog)
         assert batched == serial  # GREDTrace equality ignores timings
 
     def test_trace_records_stage_timings(self, prepared):
@@ -347,23 +410,10 @@ class TestEvaluatorRuntime:
                 raise RuntimeError("prediction backend crashed")
             return self._targets[nlq]
 
-    def test_parallel_evaluation_matches_serial(self, small_dataset):
-        from repro.models import Seq2VisModel
-
-        model = Seq2VisModel()
-        model.fit(small_dataset.train, small_dataset.catalog)
-        dataset = small_dataset.with_examples(small_dataset.test)
-        serial = ModelEvaluator(limit=30).evaluate(model, dataset)
-        parallel = ModelEvaluator(limit=30, max_workers=4).evaluate(model, dataset)
-        assert [record.predicted for record in serial.records] == [
-            record.predicted for record in parallel.records
-        ]
-        assert serial.result.as_dict() == parallel.result.as_dict()
-
     def test_failed_prediction_is_isolated_and_scored_wrong(self, small_dataset):
         dataset = small_dataset.with_examples(small_dataset.test[:10])
         bad_nlq = dataset.examples[4].nlq
-        evaluator = ModelEvaluator(max_workers=2)
+        evaluator = ModelEvaluator()
         with pytest.warns(UserWarning, match="scored as wrong"):
             run = evaluator.evaluate(self._FlakyModel(dataset, bad_nlq), dataset)
         assert len(run.records) == 10
@@ -386,3 +436,88 @@ class TestEvaluatorRuntime:
             warnings_module.simplefilter("error")
             run = ModelEvaluator(limit=10).evaluate(model, dataset)
         assert run.failure_count == 0
+
+    def test_predicts_each_example_in_order_against_its_own_database(self, small_dataset):
+        dataset = small_dataset.with_examples(small_dataset.test[:8])
+        calls = []
+
+        class RecordingModel:
+            def predict(self, nlq, database):
+                calls.append((nlq, database))
+                return f"prediction {len(calls)}"
+
+        evaluator = ModelEvaluator()
+        run = evaluator.evaluate(RecordingModel(), dataset)
+        assert [nlq for nlq, _ in calls] == [example.nlq for example in dataset.examples]
+        assert all(
+            database is dataset.catalog.get(example.db_id)
+            for (_, database), example in zip(calls, dataset.examples)
+        )
+        assert [record.example_id for record in run.records] == [
+            example.example_id for example in dataset.examples
+        ]
+        assert [record.predicted for record in run.records] == [
+            f"prediction {n}" for n in range(1, 9)
+        ]
+        assert len(evaluator.last_report) == 8 and evaluator.last_report.ok_count == 8
+
+    def test_none_prediction_is_scored_as_an_empty_one(self, small_dataset):
+        dataset = small_dataset.with_examples(small_dataset.test[:3])
+
+        class SilentModel:
+            def predict(self, nlq, database):
+                return None
+
+        run = ModelEvaluator().evaluate(SilentModel(), dataset)
+        assert run.failure_count == 0
+        assert [record.predicted for record in run.records] == ["", "", ""]
+        assert run.result.overall_correct == 0
+
+    def test_limit_zero_evaluates_no_example(self, small_dataset):
+        dataset = small_dataset.with_examples(small_dataset.test[:6])
+        model = self._FlakyModel(dataset, bad_nlq=None)
+        assert ModelEvaluator(limit=0).evaluate(model, dataset).records == []
+        assert len(ModelEvaluator(limit=2).evaluate(model, dataset).records) == 2
+        assert len(ModelEvaluator(limit=None).evaluate(model, dataset).records) == 6
+
+    def test_result_sums_record_flags_without_parsing(self, small_dataset, monkeypatch):
+        """``EvaluationRun.result`` equals ``evaluate_predictions`` over the
+        run's ``(predicted, target)`` pairs, and reading it parses nothing."""
+        from repro.dvq import normalize as normalize_module
+        from repro.evaluation import compare_queries, evaluate_predictions
+
+        examples = list({example.nlq: example for example in small_dataset.test}.values())[:4]
+        targets = [example.dvq for example in examples]
+        wrong = next(
+            example.dvq for example in small_dataset.test
+            if not compare_queries(example.dvq, targets[1]).overall
+        )
+        crash = RuntimeError("prediction backend crashed")
+        predictions = [targets[0], wrong, "Visualize BAR SELECT", crash]
+        scripted = dict(zip((example.nlq for example in examples), predictions))
+
+        class ScriptedModel:
+            def predict(self, nlq, database):
+                if scripted[nlq] is crash:
+                    raise crash
+                return scripted[nlq]
+
+        dataset = small_dataset.with_examples(examples)
+        with pytest.warns(UserWarning, match="scored as wrong"):
+            run = ModelEvaluator().evaluate(ScriptedModel(), dataset)
+        correct, parseable, unparseable, raised = run.records
+        assert correct.overall_correct
+        assert try_parse(parseable.predicted) is not None and not parseable.overall_correct
+        assert try_parse(unparseable.predicted) is None
+        assert raised.predicted == ""
+        expected = evaluate_predictions(
+            (record.predicted, record.target) for record in run.records
+        )
+
+        parses = []
+        real_parse = normalize_module.parse_dvq
+        monkeypatch.setattr(
+            normalize_module, "parse_dvq", lambda text: parses.append(text) or real_parse(text)
+        )
+        assert run.result == expected
+        assert parses == []

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core import GRED, GREDConfig
@@ -218,6 +222,44 @@ class TestSQLiteBackend:
         expected = InterpreterBackend().execute(query, database)
         actual = SQLiteBackend().execute(query, database)
         assert actual.rows == expected.rows
+
+    def test_threads_share_one_load_per_database(self, sql_database, hr_database, monkeypatch):
+        # 8 threads race one fresh backend through the first execution on two
+        # databases, switching every microsecond: the backend's lock must let
+        # exactly one of them load each database
+        query = parse_dvq(
+            "Visualize BAR SELECT LAST_NAME , AVG(SALARY) FROM employees "
+            "GROUP BY LAST_NAME ORDER BY LAST_NAME ASC"
+        )
+        databases = (sql_database, hr_database)
+        serial = SQLiteBackend()
+        expected = [serial.execute(query, database).rows for database in databases]
+        loads = []
+        real_load = SQLiteBackend._load
+
+        def spy_load(backend, connection, database):
+            loads.append(database.name)
+            real_load(backend, connection, database)
+
+        monkeypatch.setattr(SQLiteBackend, "_load", spy_load)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                backend = SQLiteBackend()
+                loads.clear()
+                start = threading.Barrier(8, timeout=60)
+
+                def run(_):
+                    start.wait()
+                    return [backend.execute(query, database).rows for database in databases]
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    results = list(pool.map(run, range(8)))
+                assert results == [expected] * 8
+                assert sorted(loads) == sorted(database.name for database in databases)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestNormalisation:

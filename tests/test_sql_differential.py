@@ -244,13 +244,9 @@ def _workload_corpus():
 
 @pytest.mark.parametrize("engine_factory", _engine_params())
 def test_backends_agree_on_workload_corpus(engine_factory):
-    """The statistics-driven corpus: 780 queries per engine via BatchRunner.
-
-    The thread pool keeps the tripled corpus inside the prior CI budget —
-    the SQLite engine releases the GIL, so its comparisons overlap the pure
-    Python reference executions.
-    """
-    from repro.runtime.runner import BatchRunner
+    """The statistics-driven corpus: 780 queries per engine via ``run_batch``,
+    which collects every disagreement instead of stopping at the first."""
+    from repro.runtime.runner import run_batch
 
     database = _workload_database()
     interpreter = InterpreterBackend()
@@ -269,7 +265,7 @@ def test_backends_agree_on_workload_corpus(engine_factory):
             f"  interpreter: {expected.rows[:8]}\n  {engine.name}: {actual.rows[:8]}"
         )
 
-    report = BatchRunner(max_workers=2).run(_workload_corpus(), check)
+    report = run_batch(_workload_corpus(), check)
     failures = report.failures()
     assert not failures, f"{len(failures)} disagreements; first: {failures[0].error}"
 

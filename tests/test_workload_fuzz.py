@@ -95,16 +95,14 @@ def broken_less_than(monkeypatch):
 
 class TestCleanSweep:
     def test_portable_sweep_has_zero_mismatches(self, database):
-        report = fuzz_database(database, count=120, base_seed=0, max_workers=2)
+        report = fuzz_database(database, count=120, base_seed=0)
         assert report.ok, report.summary()
         assert report.total == 120
         assert report.category_counts == {"ok": 120}
         assert report.comparisons == 120 * len(report.engines)
 
     def test_non_portable_sweep_matches_failure_categories(self, database):
-        report = fuzz_database(
-            database, count=120, base_seed=500, portable_subset=False, max_workers=2
-        )
+        report = fuzz_database(database, count=120, base_seed=500, portable_subset=False)
         assert report.ok, report.summary()
         # the corrupted fraction produced non-ok reference outcomes, and every
         # engine classified them identically (otherwise: mismatches)
@@ -125,7 +123,7 @@ class TestCleanSweep:
         assert serialize_dvq(fresh) == first
 
     def test_summary_mentions_scale(self, database):
-        report = fuzz_database(database, count=10, max_workers=1)
+        report = fuzz_database(database, count=10)
         assert "10 queries" in report.summary()
         assert "mismatches: 0" in report.summary()
 
@@ -149,9 +147,7 @@ class TestNullKeyJoins:
         ``NULL = NULL`` did not, so any joined query over these keys
         mismatched.
         """
-        report = fuzz_database(
-            null_key_database, count=100, base_seed=0, max_workers=2
-        )
+        report = fuzz_database(null_key_database, count=100, base_seed=0)
         assert report.ok, report.summary()
         assert report.category_counts == {"ok": 100}
 
@@ -166,7 +162,7 @@ class TestNullKeyJoins:
 
 class TestInjectedBugRegression:
     def test_fuzzer_finds_and_minimizes_the_bug(self, database, broken_less_than):
-        report = fuzz_database(database, count=150, base_seed=0, max_workers=1)
+        report = fuzz_database(database, count=150, base_seed=0)
         assert not report.ok
         assert report.mismatches
         for mismatch in report.mismatches:
@@ -181,15 +177,15 @@ class TestInjectedBugRegression:
             ), mismatch.minimized_text
 
     def test_minimization_is_deterministic_per_seed(self, database, broken_less_than):
-        first = fuzz_database(database, count=80, base_seed=0, max_workers=1)
-        second = fuzz_database(database, count=80, base_seed=0, max_workers=2)
+        first = fuzz_database(database, count=80, base_seed=0)
+        second = fuzz_database(database, count=80, base_seed=0)
         assert [m.seed for m in first.mismatches] == [m.seed for m in second.mismatches]
         assert [m.minimized_text for m in first.mismatches] == [
             m.minimized_text for m in second.mismatches
         ]
 
     def test_repro_snippet_is_paste_ready(self, database, broken_less_than):
-        report = fuzz_database(database, count=80, base_seed=0, max_workers=1)
+        report = fuzz_database(database, count=80, base_seed=0)
         mismatch = report.mismatches[0]
         snippet = mismatch.repro_snippet()
         assert f"generator seed {mismatch.seed}" in snippet
@@ -262,7 +258,6 @@ class TestSortHeavySweeps:
             null_key_database,
             generator_factory=_sort_heavy_factory(weakref.WeakKeyDictionary()),
             base_seed=0,
-            max_workers=2,
         )
         report = fuzzer.run(100)
         assert report.ok, report.summary()
@@ -284,7 +279,6 @@ class TestSortHeavySweeps:
             engines=engines,
             generator_factory=_sort_heavy_factory(weakref.WeakKeyDictionary()),
             base_seed=300,
-            max_workers=2,
         )
         report = fuzzer.run(100)
         assert report.ok, report.summary()
@@ -311,7 +305,6 @@ class TestSortHeavySweeps:
             database,
             generator_factory=_sort_heavy_factory(weakref.WeakKeyDictionary()),
             base_seed=0,
-            max_workers=1,
         )
         report = fuzzer.run(100)
         assert report.ok, report.summary()
